@@ -46,17 +46,16 @@ struct RunConfig {
   bool poisson = false;
   /// Also collect per-channel utilization over the measurement window.
   bool collect_link_util = false;
-  /// Event engine for this point (A/B benchmarking and the golden
-  /// cross-engine determinism tests; normally leave the default).
-  /// kPodParallel shards one simulation across `shards` worker threads with
-  /// the conservative window engine (sim/parallel_engine.hpp) and produces
-  /// identical simulated metrics to kPod.  Tracing and profiling run
-  /// sharded (per-lane rings, merged at harvest); only the adaptive path
-  /// selector's feedback loop still falls back to kPod.  RunResult::shards
-  /// reports what actually ran.
-  EngineKind engine = kDefaultEngine;
+  /// Event engine for this point: kPod runs serially; kPodParallel shards
+  /// one simulation across `shards` worker threads with the conservative
+  /// window engine (sim/parallel_engine.hpp) and produces identical
+  /// simulated metrics to kPod.  Tracing and profiling run sharded
+  /// (per-lane rings, merged at harvest); only the adaptive path selector's
+  /// feedback loop still falls back to kPod.  RunResult::shards reports
+  /// what actually ran.
+  EngineKind engine = EngineKind::kPod;
   /// Worker-lane count for kPodParallel (clamped to the topology's switch
-  /// count and the engine's lane cap; ignored by the serial engines).
+  /// count and the engine's lane cap; ignored by kPod).
   int shards = 1;
   /// Checked-simulation mode: verify the scheme's routing table (legality,
   /// minimality, split placement) before the run and sample a wait-graph
@@ -124,7 +123,7 @@ struct RunResult {
   std::uint64_t events = 0;      // simulator events executed by this point
   double events_per_sec = 0.0;
   std::uint64_t peak_event_queue_len = 0;  // pending-event high-water mark
-  std::uint64_t events_coalesced = 0;      // chunk arrivals elided (POD)
+  std::uint64_t events_coalesced = 0;      // chunk arrivals elided
 
   // Parallel-engine observability (host-side: how the point was executed,
   // never what it simulated — a K-sharded run matches the serial run on

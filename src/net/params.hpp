@@ -62,8 +62,9 @@ struct MyrinetParams {
   int chunk_flits = 8;
 
   /// Coalesce the per-chunk arrival events of a packet's final leg into a
-  /// single tail event (POD engine only; legacy always steps per chunk).
-  /// Legal because those arrivals are pure sinks — a NIC applies no flow
+  /// single tail event.  With it off every chunk arrival is its own event:
+  /// the event-for-event reference the coalesced schedule is tested
+  /// against (test_engine_golden).  Legal because those arrivals are pure sinks — a NIC applies no flow
   /// control, the header work happened on the first chunk, and nothing
   /// reads the entry until the tail delivers — so eliding them preserves
   /// the (time, push-order) schedule of every remaining event bit-for-bit.

@@ -10,6 +10,14 @@ constexpr std::size_t kArity = 4;
 
 void CalendarQueue::remove_min() {
   if (min_in_far_) {
+    if (near_size_ == 0) {
+      // Re-anchor the empty ring at the popped event: every later push is
+      // at or after it.  Never backwards: an earlier scan may already have
+      // moved base_ past this far event's bucket.
+      const std::uint64_t idx =
+          static_cast<std::uint64_t>(far_.front().at) >> kWidthBits;
+      if (idx > base_) base_ = idx;
+    }
     far_pop();
   } else {
     Bucket& bkt = near_[base_ & (kBuckets - 1)];

@@ -10,16 +10,18 @@
 // (new events usually carry the latest time, i.e. the far end of a sorted
 // bucket).  Far future (beyond the horizon): a 4-ary POD min-heap.  The
 // global minimum is the smaller of the bucket minimum and the heap top,
-// compared by (time, seq), so the FIFO-stable ordering contract of the
-// legacy EventQueue is preserved exactly; far events are never migrated
-// into the ring.
+// compared by (time, seq), so simultaneous events pop FIFO in push order
+// (checked against a std::priority_queue reference by test_sim_fuzz); far
+// events are never migrated into the ring.
 //
-// The window start (`base_`) only advances lazily, past buckets verified
-// empty while locating the minimum.  A push whose bucket index falls behind
-// `base_` (possible when the scan overshot the clock) is clamped into the
-// base bucket: the clamped event is earlier than everything in later
-// buckets and the min-scan orders it correctly within the bucket by its
-// true (time, seq) key.
+// The window start (`base_`) advances lazily, past buckets verified empty
+// while locating the minimum, and — when the ring is empty — to the bucket
+// of an event popped from the far heap, so a run whose first event lies
+// beyond the horizon does not leave every later push in the heap.  A push
+// whose bucket index falls behind `base_` (possible when the scan overshot
+// the clock) is clamped into the base bucket: the clamped event is earlier
+// than everything in later buckets and the min-scan orders it correctly
+// within the bucket by its true (time, seq) key.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +62,8 @@ class CalendarQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t peak_size() const { return peak_; }
+  /// Events pending in the far heap (beyond the near ring's horizon).
+  [[nodiscard]] std::size_t far_size() const { return far_.size(); }
 
   /// Drop all pending events and restart the sequence counter and window,
   /// keeping every bucket's capacity and the far heap's reserve.  Leaves the

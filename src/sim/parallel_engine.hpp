@@ -2,7 +2,7 @@
 // simulation.
 //
 // The simulation's element graph is split into K lanes by a PartitionPlan;
-// each lane is an ordinary kPod Simulator (calendar queue, arena, POD
+// each lane is an ordinary Simulator (calendar queue, arena, POD
 // handler) running in shard-key mode, pinned to one persistent worker
 // thread.  Time advances in windows of width `lookahead` — the minimum
 // propagation delay over cut cables — under a barrier scheme:
@@ -189,7 +189,7 @@ class ParallelEngine {
   };
 
   struct alignas(64) Lane {
-    Simulator sim{EngineKind::kPod};
+    Simulator sim;
     std::thread thread;
     std::vector<BoundaryMsg> drain_buf;  // reused across drains
     std::uint64_t posted = 0;            // messages this lane sent

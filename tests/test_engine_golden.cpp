@@ -1,19 +1,27 @@
-// Golden cross-engine determinism: the POD calendar-queue engine must
-// reproduce the legacy std::function engine bit-for-bit.
+// Golden engine determinism: committed delivery-stream fixtures and the
+// uncoalesced event-for-event reference.
 //
-// The engines share one ordering contract — events fire by (time, seq),
-// equal timestamps FIFO in push order — and the network pushes each POD
-// event at the exact moment it would have pushed the legacy closure, so
-// every simulated quantity (delivery stream, latencies, spills, buffer
-// peaks) is identical.  Delivery tail-burst coalescing only elides events
-// that nothing observes, so it holds with coalescing on or off; with it
-// off the executed-event *counts* match exactly as well.
+// Events fire by (time, seq), equal timestamps FIFO in push order, so a
+// run is a pure function of its inputs.  The stream fixtures below pin
+// three scenarios — a mid-load point (UP/DOWN and ITB-RR), the same ITB-RR
+// point without coalescing, and a congested bit-reversal point that
+// exercises ITB ejection/re-injection and stop&go — as a digest of the full
+// delivery stream (plus spills, peak buffer occupancy and end time) and an
+// executed-event count.  They were recorded while the original
+// std::function engine was still asserted to produce the identical
+// streams, and, uncoalesced, the identical event counts.
+//
+// Delivery tail-burst coalescing only elides events that nothing observes:
+// with coalesce_chunk_flow off every chunk arrival is its own event, and
+// that run is the reference the coalesced schedule is compared against.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/json.hpp"
@@ -47,11 +55,12 @@ struct EngineRun {
   TimePs end_time = 0;
 };
 
-/// One fig.7-style point (4x4 torus, 2 hosts/switch) driven directly so the
-/// full delivery stream can be captured, not just aggregate metrics.
-EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
-                     bool coalesce, const Testbed& tb) {
-  Simulator sim(engine);
+/// One 300 us point on the 4x4 torus (2 hosts/switch), driven directly so
+/// the full delivery stream can be captured, not just aggregate metrics.
+EngineRun run_stream(const Testbed& tb, RoutingScheme scheme,
+                     const DestinationPattern& pat, double load,
+                     std::uint64_t traffic_seed, bool coalesce) {
+  Simulator sim;
   MyrinetParams params;
   params.coalesce_chunk_flow = coalesce;
   Network net(sim, tb.topo(), tb.routes(scheme), params, policy_of(scheme),
@@ -63,8 +72,7 @@ EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
   TrafficConfig tcfg;
   tcfg.load_flits_per_ns_per_switch = load;
   tcfg.payload_bytes = 512;
-  tcfg.seed = 42;
-  UniformPattern pat(tb.topo().num_hosts());
+  tcfg.seed = traffic_seed;
   TrafficGenerator gen(sim, net, pat, tcfg);
   gen.start();
   sim.run_until(us(300));
@@ -79,49 +87,100 @@ EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
   return out;
 }
 
-void expect_same_stream(const EngineRun& legacy, const EngineRun& pod) {
-  EXPECT_EQ(legacy.fc_violations, 0u);
-  EXPECT_EQ(pod.fc_violations, 0u);
-  EXPECT_EQ(legacy.spills, pod.spills);
-  EXPECT_EQ(legacy.max_occupancy, pod.max_occupancy);
-  EXPECT_EQ(legacy.end_time, pod.end_time);
-  ASSERT_EQ(legacy.deliveries.size(), pod.deliveries.size());
-  for (std::size_t i = 0; i < legacy.deliveries.size(); ++i) {
-    ASSERT_TRUE(legacy.deliveries[i] == pod.deliveries[i])
+/// The mid-load point: uniform traffic at 0.02 flits/ns/switch.
+EngineRun run_midload(const Testbed& tb, RoutingScheme scheme, bool coalesce) {
+  UniformPattern pat(tb.topo().num_hosts());
+  return run_stream(tb, scheme, pat, 0.02, 42, coalesce);
+}
+
+std::uint64_t fnv_mix(std::uint64_t h, std::int64_t v) {
+  const auto u = static_cast<std::uint64_t>(v);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (u >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a over every field of every delivery, then spills, peak buffer
+/// occupancy and end time.
+std::uint64_t stream_digest(const EngineRun& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const DeliveryRecord& d : r.deliveries) {
+    h = fnv_mix(h, d.src);
+    h = fnv_mix(h, d.dst);
+    h = fnv_mix(h, d.payload_flits);
+    h = fnv_mix(h, d.gen_time);
+    h = fnv_mix(h, d.inject_time);
+    h = fnv_mix(h, d.deliver_time);
+    h = fnv_mix(h, d.itbs_used);
+    h = fnv_mix(h, d.alt_index);
+    h = fnv_mix(h, d.total_switch_hops);
+    h = fnv_mix(h, d.spilled ? 1 : 0);
+  }
+  h = fnv_mix(h, static_cast<std::int64_t>(r.spills));
+  h = fnv_mix(h, r.max_occupancy);
+  h = fnv_mix(h, r.end_time);
+  return h;
+}
+
+struct StreamFixture {
+  std::uint64_t digest;
+  std::size_t deliveries;
+  std::uint64_t events;
+};
+
+constexpr StreamFixture kMidLoadUpDown{0x2a30d0d148db8f6bull, 184, 85526};
+constexpr StreamFixture kMidLoadItbRr{0xdbb37ec6efab1057ull, 184, 99156};
+constexpr StreamFixture kCoalescingOffItbRr{0xdbb37ec6efab1057ull, 184,
+                                            110748};
+constexpr StreamFixture kHighLoadItbRr{0xb110144c204c7676ull, 551, 294021};
+
+void expect_fixture(const EngineRun& r, const StreamFixture& want) {
+  EXPECT_EQ(r.fc_violations, 0u);
+  EXPECT_EQ(r.deliveries.size(), want.deliveries);
+  EXPECT_EQ(stream_digest(r), want.digest)
+      << "delivery stream changed; got digest 0x" << std::hex
+      << stream_digest(r);
+  EXPECT_EQ(r.events, want.events);
+}
+
+void expect_same_stream(const EngineRun& ref, const EngineRun& run) {
+  EXPECT_EQ(ref.spills, run.spills);
+  EXPECT_EQ(ref.max_occupancy, run.max_occupancy);
+  EXPECT_EQ(ref.end_time, run.end_time);
+  ASSERT_EQ(ref.deliveries.size(), run.deliveries.size());
+  for (std::size_t i = 0; i < ref.deliveries.size(); ++i) {
+    ASSERT_TRUE(ref.deliveries[i] == run.deliveries[i])
         << "delivery stream diverges at record " << i;
   }
 }
 
 TEST(EngineGolden, MidLoadDeliveryStreamIdentical) {
   Testbed tb(make_torus_2d(4, 4, 2));
-  for (const RoutingScheme scheme :
-       {RoutingScheme::kUpDown, RoutingScheme::kItbRr}) {
-    const EngineRun legacy =
-        run_engine(EngineKind::kLegacy, scheme, 0.02, true, tb);
-    const EngineRun pod = run_engine(EngineKind::kPod, scheme, 0.02, true, tb);
+  for (const auto& [scheme, fixture] :
+       {std::pair{RoutingScheme::kUpDown, kMidLoadUpDown},
+        std::pair{RoutingScheme::kItbRr, kMidLoadItbRr}}) {
     SCOPED_TRACE(to_string(scheme));
-    expect_same_stream(legacy, pod);
-    EXPECT_GT(legacy.deliveries.size(), 100u) << "point should carry traffic";
+    const EngineRun pod = run_midload(tb, scheme, true);
+    const EngineRun ref = run_midload(tb, scheme, false);
+    expect_fixture(pod, fixture);
+    expect_same_stream(ref, pod);
     // Coalescing really elides events, and only events: every elided chunk
-    // arrival is accounted, so the legacy count is bracketed by the POD
-    // count and the POD count plus elisions (arrivals pending at the
-    // deadline make the upper bound an inequality).
+    // arrival is accounted, so the reference count is bracketed by the
+    // coalesced count and the coalesced count plus elisions (arrivals
+    // pending at the deadline make the upper bound an inequality).
     EXPECT_GT(pod.events_coalesced, 0u);
-    EXPECT_LT(pod.events, legacy.events);
-    EXPECT_LE(legacy.events, pod.events + pod.events_coalesced);
+    EXPECT_LT(pod.events, ref.events);
+    EXPECT_LE(ref.events, pod.events + pod.events_coalesced);
   }
 }
 
 TEST(EngineGolden, CoalescingOffMatchesEventForEvent) {
   Testbed tb(make_torus_2d(4, 4, 2));
-  const EngineRun legacy =
-      run_engine(EngineKind::kLegacy, RoutingScheme::kItbRr, 0.02, false, tb);
-  const EngineRun pod =
-      run_engine(EngineKind::kPod, RoutingScheme::kItbRr, 0.02, false, tb);
-  expect_same_stream(legacy, pod);
-  EXPECT_EQ(pod.events_coalesced, 0u);
-  EXPECT_EQ(legacy.events, pod.events)
-      << "without coalescing the engines must execute identical schedules";
+  const EngineRun ref = run_midload(tb, RoutingScheme::kItbRr, false);
+  EXPECT_EQ(ref.events_coalesced, 0u);
+  expect_fixture(ref, kCoalescingOffItbRr);
 }
 
 TEST(EngineGolden, HighLoadWithItbsStillIdentical) {
@@ -130,42 +189,20 @@ TEST(EngineGolden, HighLoadWithItbsStillIdentical) {
   // detour paths that create in-transit hops.
   Testbed tb(make_torus_2d(4, 4, 2));
   BitReversalPattern pat(tb.topo().num_hosts());
-  auto run = [&](EngineKind engine) {
-    Simulator sim(engine);
-    Network net(sim, tb.topo(), tb.routes(RoutingScheme::kItbRr),
-                MyrinetParams{}, PathPolicy::kRoundRobin, 42 ^ 0x9e37u);
-    EngineRun out;
-    net.set_delivery_callback(
-        [&out](const DeliveryRecord& r) { out.deliveries.push_back(r); });
-    TrafficConfig tcfg;
-    tcfg.load_flits_per_ns_per_switch = 0.08;
-    tcfg.payload_bytes = 512;
-    tcfg.seed = 7;
-    TrafficGenerator gen(sim, net, pat, tcfg);
-    gen.start();
-    sim.run_until(us(300));
-    gen.stop();
-    out.events = sim.events_executed();
-    out.events_coalesced = net.chunk_events_coalesced();
-    out.fc_violations = net.flow_control_violations();
-    out.spills = net.itb_spills();
-    out.max_occupancy = net.max_buffer_occupancy();
-    out.end_time = sim.now();
-    return out;
-  };
-  const EngineRun legacy = run(EngineKind::kLegacy);
-  const EngineRun pod = run(EngineKind::kPod);
-  expect_same_stream(legacy, pod);
+  const EngineRun pod =
+      run_stream(tb, RoutingScheme::kItbRr, pat, 0.08, 7, true);
+  expect_fixture(pod, kHighLoadItbRr);
   std::uint64_t itb_hops = 0;
-  for (const DeliveryRecord& r : legacy.deliveries) {
+  for (const DeliveryRecord& r : pod.deliveries) {
     itb_hops += static_cast<std::uint64_t>(r.itbs_used);
   }
   EXPECT_GT(itb_hops, 0u) << "point should exercise the ITB mechanism";
 }
 
-/// RunResult comparison for cross-engine runs: every simulated metric must
-/// match; executed-event counts and queue peaks legitimately differ (that
-/// is the point of coalescing), wall-clock always differs.
+/// RunResult comparison across engines and coalescing modes: every
+/// simulated metric must match; executed-event counts and queue peaks
+/// legitimately differ (that is the point of coalescing), wall-clock always
+/// differs.
 void expect_same_metrics(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.accepted, b.accepted);
@@ -198,10 +235,9 @@ void expect_same_metrics(const RunResult& a, const RunResult& b) {
 //
 //   ITB_UPDATE_GOLDEN=1 ctest -R GoldenFixture
 //
-// The config pins everything build-dependent: the POD engine explicitly
-// (not kDefaultEngine, which ITB_LEGACY_EVENTS flips) and checked=false
-// explicitly (not the ITB_CHECKED-dependent default — watchdog sampling
-// adds events), so every build produces the identical canonical string.
+// The config pins everything build-dependent: checked=false explicitly
+// (not the ITB_CHECKED-dependent default — watchdog sampling adds events),
+// so every build produces the identical canonical string.
 
 RunResult run_golden_cell(const Testbed& tb, const DestinationPattern& pat,
                           RoutingScheme scheme) {
@@ -211,7 +247,6 @@ RunResult run_golden_cell(const Testbed& tb, const DestinationPattern& pat,
   cfg.warmup = us(50);
   cfg.measure = us(150);
   cfg.seed = 42;
-  cfg.engine = EngineKind::kPod;
   cfg.checked = false;
   return run_point(tb, scheme, pat, cfg);
 }
@@ -274,6 +309,8 @@ TEST(GoldenFixture, CanonicalJsonIsDeterministicAcrossRepeats) {
 }
 
 TEST(EngineGolden, RunPointMatchesAcrossEngines) {
+  // The uncoalesced serial run is the reference; the coalesced serial run
+  // and the two-lane sharded run must simulate the identical point.
   Testbed tb(make_torus_2d(4, 4, 2));
   UniformPattern pat(tb.topo().num_hosts());
   RunConfig cfg;
@@ -281,13 +318,20 @@ TEST(EngineGolden, RunPointMatchesAcrossEngines) {
   cfg.warmup = us(50);
   cfg.measure = us(150);
   cfg.collect_link_util = true;
-  cfg.engine = EngineKind::kLegacy;
-  const RunResult legacy = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  cfg.engine = EngineKind::kPod;
+  cfg.params.coalesce_chunk_flow = false;
+  const RunResult ref = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
+  cfg.params.coalesce_chunk_flow = true;
   const RunResult pod = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  expect_same_metrics(legacy, pod);
+  cfg.engine = EngineKind::kPodParallel;
+  cfg.shards = 2;
+  const RunResult sharded = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
+  expect_same_metrics(ref, pod);
+  expect_same_metrics(ref, sharded);
+  EXPECT_EQ(ref.events_coalesced, 0u);
   EXPECT_GT(pod.events_coalesced, 0u);
-  EXPECT_LE(pod.peak_event_queue_len, legacy.peak_event_queue_len);
+  EXPECT_LE(pod.peak_event_queue_len, ref.peak_event_queue_len);
+  EXPECT_EQ(sharded.shards, 2u);
+  EXPECT_EQ(sharded.events, pod.events);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -25,47 +24,43 @@ TEST(Time, ConversionsAreExact) {
   EXPECT_DOUBLE_EQ(to_ns(6250), 6.25);
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
+TEST(CalendarQueue, PopsInTimeOrder) {
+  CalendarQueue q;
+  q.push(30, EventKind::kCallback, 3, 0, nullptr);
+  q.push(10, EventKind::kCallback, 1, 0, nullptr);
+  q.push(20, EventKind::kCallback, 2, 0, nullptr);
   std::vector<int> fired;
-  q.push(30, [&] { fired.push_back(3); });
-  q.push(10, [&] { fired.push_back(1); });
-  q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-  }
+  while (!q.empty()) fired.push_back(q.pop().ch);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, TiesFireInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 100; ++i) {
-    q.push(42, [&fired, i] { fired.push_back(i); });
+TEST(CalendarQueue, TiesFireInInsertionOrder) {
+  CalendarQueue q;
+  for (std::int32_t i = 0; i < 100; ++i) {
+    q.push(42, EventKind::kCallback, i, 0, nullptr);
   }
-  while (!q.empty()) q.pop().second();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+  for (std::int32_t i = 0; i < 100; ++i) EXPECT_EQ(q.pop().ch, i);
 }
 
-TEST(EventQueue, InterleavedPushPopKeepsOrder) {
-  EventQueue q;
+TEST(CalendarQueue, InterleavedPushPopKeepsOrder) {
+  CalendarQueue q;
   Rng rng(7);
   std::vector<TimePs> popped;
   TimePs now = 0;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 20; ++i) {
-      q.push(now + static_cast<TimePs>(rng.next_below(1000)), [] {});
+      q.push(now + static_cast<TimePs>(rng.next_below(1000)),
+             EventKind::kCallback, 0, 0, nullptr);
     }
     for (int i = 0; i < 10 && !q.empty(); ++i) {
-      auto [t, fn] = q.pop();
+      const TimePs t = q.pop().at;
       EXPECT_GE(t, now);
       now = t;
       popped.push_back(t);
     }
   }
   while (!q.empty()) {
-    auto [t, fn] = q.pop();
+    const TimePs t = q.pop().at;
     EXPECT_GE(t, now);
     now = t;
     popped.push_back(t);
@@ -74,11 +69,31 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(popped.size(), 50u * 20u);
 }
 
-TEST(EventQueue, NextTimeReportsHead) {
-  EventQueue q;
+TEST(CalendarQueue, NextTimeReportsHead) {
+  CalendarQueue q;
   EXPECT_EQ(q.next_time(), kTimeNever);
-  q.push(99, [] {});
+  q.push(99, EventKind::kCallback, 0, 0, nullptr);
   EXPECT_EQ(q.next_time(), 99);
+}
+
+TEST(CalendarQueue, RingFollowsAClockThatStartedBeyondTheHorizon) {
+  // A run whose first event lies past the near ring's horizon pops it from
+  // the far heap.  The ring must then re-anchor at that time, so the short
+  // delays that follow are served from the ring rather than the heap.
+  CalendarQueue q;
+  TimePs now = 5 * CalendarQueue::kHorizonPs + 123;
+  q.push(now, EventKind::kCallback, 0, 0, nullptr);
+  ASSERT_EQ(q.far_size(), 1u);
+  Event e;
+  ASSERT_TRUE(q.pop_if_at_most(now, e));
+  for (int i = 0; i < 1000; ++i) {
+    q.push(now + 100 + (i % 7) * 37, EventKind::kCallback, i, 0, nullptr);
+    ASSERT_EQ(q.far_size(), 0u) << "sub-us push " << i << " went far";
+    e = q.pop();
+    EXPECT_GE(e.at, now);
+    now = e.at;
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // --- CalendarQueue boundary behaviour -------------------------------------
@@ -185,26 +200,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   sim.run_until();
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(sim.now(), 100);
-}
-
-TEST(Simulator, RunWhilePredicateStops) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 0; i < 100; ++i) sim.schedule_in(i, [&] { ++count; });
-  sim.run_while([&] { return count < 7; });
-  EXPECT_EQ(count, 7);
-}
-
-TEST(Simulator, RequestStopHaltsLoop) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 1; i <= 100; ++i) {
-    sim.schedule_in(i, [&] {
-      if (++count == 5) sim.request_stop();
-    });
-  }
-  sim.run_until();
-  EXPECT_EQ(count, 5);
 }
 
 TEST(Rng, DeterministicForSeed) {

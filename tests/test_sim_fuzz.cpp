@@ -2,6 +2,7 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
@@ -11,7 +12,6 @@
 #include "harness/runner.hpp"
 #include "harness/testbed.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topo/generators.hpp"
@@ -33,41 +33,56 @@ struct RefQueue {
   }
 };
 
+// The Simulator's event queue as a whole (callback slot slab, kCallback
+// dispatch, calendar) against the reference order.  Every event, when it
+// fires, checks that it is the reference minimum and schedules follow-ups
+// in the shapes CalendarQueueFuzz covers: near future, equal-timestamp
+// bursts, the current instant, and beyond the calendar horizon.
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueFuzz, MatchesReferenceOrder) {
+  constexpr std::uint64_t kPushes = 20000;
   Rng rng(GetParam());
-  EventQueue q;
+  Simulator sim;
   RefQueue ref;
-  std::vector<std::uint64_t> popped_seq;
-  std::uint64_t push_seq = 0;
-  TimePs now = 0;
-
-  for (int op = 0; op < 20000; ++op) {
-    const bool do_push = q.empty() || rng.next_bool(0.55);
-    if (do_push) {
-      const TimePs t = now + static_cast<TimePs>(rng.next_below(500));
-      const std::uint64_t id = push_seq++;
-      q.push(t, [&popped_seq, id] { popped_seq.push_back(id); });
-      ref.push(t);
-    } else {
-      auto [t, fn] = q.pop();
-      EXPECT_GE(t, now);
-      now = t;
-      fn();
-      const auto [rt, rseq] = ref.pop();
-      ASSERT_EQ(t, rt);
-      ASSERT_EQ(popped_seq.back(), rseq);
-    }
-  }
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
+  std::uint64_t fired = 0;
+  std::function<void(std::uint64_t)> fire;
+  auto push = [&](TimePs t) {
+    const std::uint64_t id = ref.seq;
+    ref.push(t);
+    sim.schedule_at(t, [&fire, id] { fire(id); });
+  };
+  fire = [&](std::uint64_t id) {
     const auto [rt, rseq] = ref.pop();
-    ASSERT_EQ(t, rt);
-    ASSERT_EQ(popped_seq.back(), rseq);
-  }
+    ASSERT_EQ(sim.now(), rt);
+    ASSERT_EQ(id, rseq);
+    ++fired;
+    std::uint64_t kids = rng.next_below(3);
+    if (ref.q.empty() && kids == 0) kids = 1;
+    const TimePs now = sim.now();
+    for (std::uint64_t k = 0; k < kids && ref.seq < kPushes; ++k) {
+      const std::uint64_t shape = rng.next_below(10);
+      if (shape < 6) {
+        push(now + static_cast<TimePs>(rng.next_below(5000)));
+      } else if (shape < 8) {
+        const TimePs t = now + static_cast<TimePs>(rng.next_below(3000));
+        const std::uint64_t n = 1 + rng.next_below(6);
+        for (std::uint64_t i = 0; i < n; ++i) push(t);
+      } else if (shape == 8) {
+        push(now);
+      } else {
+        push(now + CalendarQueue::kHorizonPs +
+             static_cast<TimePs>(rng.next_below(1u << 20)));
+      }
+    }
+  };
+  for (int i = 0; i < 64; ++i) push(static_cast<TimePs>(rng.next_below(5000)));
+  sim.run_until();
   EXPECT_TRUE(ref.q.empty());
+  EXPECT_GE(ref.seq, kPushes);
+  EXPECT_EQ(fired, ref.seq);
+  EXPECT_EQ(sim.events_executed(), fired);
+  EXPECT_EQ(sim.causality_violations(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,

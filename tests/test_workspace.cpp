@@ -1,7 +1,7 @@
 // Workspace-reuse determinism suite: the tentpole contract of the
 // run-reuse layer is that a point run in a RESET workspace is bit-identical
 // to the same point run in a freshly constructed one — same RNG draws, same
-// (time, seq) event order, same metrics — in both engines, for every
+// (time, seq) event order, same metrics — serial and sharded, for every
 // scheme, with checked mode on.  These tests pit run_point_in against
 // explicit fresh/reused SimWorkspaces and assert exactly that, plus the
 // arena layer's headline property: zero engine heap allocations once a
@@ -61,15 +61,6 @@ TEST(Workspace, ReuseBitIdenticalPodAllSchemes) {
                                 RoutingScheme::kItbRr}) {
     SCOPED_TRACE(to_string(s));
     expect_reuse_identical(tb, s, EngineKind::kPod);
-  }
-}
-
-TEST(Workspace, ReuseBitIdenticalLegacyAllSchemes) {
-  Testbed tb(make_torus_2d(4, 4, 4));
-  for (const RoutingScheme s : {RoutingScheme::kUpDown, RoutingScheme::kItbSp,
-                                RoutingScheme::kItbRr}) {
-    SCOPED_TRACE(to_string(s));
-    expect_reuse_identical(tb, s, EngineKind::kLegacy);
   }
 }
 
@@ -138,29 +129,31 @@ TEST(Workspace, RunPointMatchesExplicitWorkspace) {
 }
 
 TEST(Workspace, EngineSwitchInsideOneWorkspace) {
-  // prepare() may flip the engine between runs; each engine's results must
-  // match that engine's fresh-workspace reference.
+  // prepare() may flip between the serial and the sharded engine; each
+  // run must match that engine's fresh-workspace reference.
   Testbed tb(make_torus_2d(4, 4, 4));
   UniformPattern pat(tb.topo().num_hosts());
   const RunConfig pod_cfg = small_config(EngineKind::kPod);
-  const RunConfig legacy_cfg = small_config(EngineKind::kLegacy);
+  RunConfig sharded_cfg = small_config(EngineKind::kPodParallel);
+  sharded_cfg.shards = 2;
 
-  SimWorkspace fresh_pod, fresh_legacy;
+  SimWorkspace fresh_pod, fresh_sharded;
   const RunResult pod_ref =
       run_point_in(fresh_pod, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult legacy_ref =
-      run_point_in(fresh_legacy, tb, RoutingScheme::kItbRr, pat, legacy_cfg);
+  const RunResult sharded_ref =
+      run_point_in(fresh_sharded, tb, RoutingScheme::kItbRr, pat, sharded_cfg);
 
   SimWorkspace ws;
   const RunResult pod1 =
       run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult legacy1 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, legacy_cfg);
+  const RunResult sharded1 =
+      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, sharded_cfg);
   const RunResult pod2 =
       run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
 
+  EXPECT_EQ(sharded1.shards, 2u);
   EXPECT_TRUE(same_simulated_metrics(pod_ref, pod1));
-  EXPECT_TRUE(same_simulated_metrics(legacy_ref, legacy1));
+  EXPECT_TRUE(same_simulated_metrics(sharded_ref, sharded1));
   EXPECT_TRUE(same_simulated_metrics(pod_ref, pod2));
 }
 
