@@ -261,17 +261,15 @@ WorkspaceAb workspace_ab(const Testbed& tb, const BenchOptions& opts) {
   return ab;
 }
 
-/// Route-store A/B: legacy nested staging vs the compressed contiguous
-/// store, on the 512-host torus the other sections use.  Records build
-/// time (nested, flat serial, flat parallel), table memory, and the dedup
-/// count; build times are best of `reps` (construction is deterministic,
-/// only the wall clock varies).
+/// Route-store build: serial vs parallel construction of the ITB table on
+/// the 512-host torus the other sections use.  Records build time (jobs 1,
+/// jobs N), table memory, the dedup count and parallel bit-identity; build
+/// times are best of `reps` (construction is deterministic, only the wall
+/// clock varies).
 struct RouteStoreAb {
-  double nested_build_ms = 0.0;
   double flat_build_jobs1_ms = 0.0;
   double flat_build_jobsn_ms = 0.0;
   int parallel_jobs = 0;
-  std::uint64_t nested_bytes = 0;
   std::uint64_t flat_bytes = 0;
   std::uint64_t segments_shared = 0;
   std::uint64_t num_routes = 0;
@@ -294,11 +292,6 @@ RouteStoreAb route_store_ab(const Topology& topo, const UpDown& ud) {
     }
     return best;
   };
-
-  const NestedRouteTable nested = build_itb_routes_nested(topo, ud);
-  ab.nested_bytes = nested_table_bytes(nested);
-  ab.nested_build_ms =
-      best_ms([&] { (void)build_itb_routes_nested(topo, ud); });
 
   const RouteSet flat1 = build_itb_routes(topo, ud, {}, 1);
   ab.flat_bytes = flat1.table_bytes();
@@ -517,14 +510,9 @@ int run_json_mode(const BenchOptions& opts) {
               sh_profiled.events_per_sec / 1e6, sh_profiled_overhead * 100.0,
               sh_profiled.lane_imbalance);
   std::printf("route store (ITB table, 512-host torus, best of 3):\n");
-  std::printf("  nested build %8.2f ms   %8.2f KiB\n", rs_ab.nested_build_ms,
-              static_cast<double>(rs_ab.nested_bytes) / 1024.0);
-  std::printf("  flat jobs=1  %8.2f ms   %8.2f KiB   shrink %.2fx   "
-              "shared segs %llu\n",
+  std::printf("  flat jobs=1  %8.2f ms   %8.2f KiB   shared segs %llu\n",
               rs_ab.flat_build_jobs1_ms,
               static_cast<double>(rs_ab.flat_bytes) / 1024.0,
-              static_cast<double>(rs_ab.nested_bytes) /
-                  static_cast<double>(rs_ab.flat_bytes),
               static_cast<unsigned long long>(rs_ab.segments_shared));
   std::printf("  flat jobs=%d  %8.2f ms   build speedup %.2fx   "
               "bit-identical %s\n",
@@ -592,22 +580,17 @@ int run_json_mode(const BenchOptions& opts) {
   w.end_object();
   w.key("route_store").begin_object();
   w.key("testbed").value("torus 8x8, 8 hosts/switch (512 hosts)");
-  w.key("nested_build_ms").value(rs_ab.nested_build_ms);
   w.key("flat_build_jobs1_ms").value(rs_ab.flat_build_jobs1_ms);
   w.key("flat_build_jobs8_ms").value(rs_ab.flat_build_jobsn_ms);
   w.key("parallel_jobs").value(static_cast<std::uint64_t>(rs_ab.parallel_jobs));
   w.key("parallel_build_speedup")
       .value(rs_ab.flat_build_jobs1_ms / rs_ab.flat_build_jobsn_ms);
-  w.key("nested_table_bytes").value(rs_ab.nested_bytes);
   w.key("flat_table_bytes").value(rs_ab.flat_bytes);
-  w.key("table_shrink")
-      .value(static_cast<double>(rs_ab.nested_bytes) /
-             static_cast<double>(rs_ab.flat_bytes));
   w.key("segments_shared").value(rs_ab.segments_shared);
   w.key("num_routes").value(rs_ab.num_routes);
   w.key("parallel_bit_identical").value(rs_ab.parallel_identical);
   // The end_to_end section's pod rate IS the flat-store e2e number;
-  // perf_check compares it against the nested-era baseline in BENCH_pr5.
+  // perf_check compares it against the committed baseline's pod rate.
   w.key("flat_e2e_events_per_sec").value(pod_e2e.events_per_sec);
   w.end_object();
   w.key("shard_ab").begin_object();

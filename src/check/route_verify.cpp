@@ -102,8 +102,13 @@ bool retrace_route(const PairContext& ctx, const RouteView& r, int alt,
 std::string route_identity(const RouteView& r) {
   std::string id;
   for (const LegView l : r.legs) {
-    for (const PortId p : l.ports) id += std::to_string(p) + ",";
-    id += "@" + std::to_string(l.end_host) + ";";
+    for (const PortId p : l.ports) {
+      id += std::to_string(p);
+      id += ',';
+    }
+    id += '@';
+    id += std::to_string(l.end_host);
+    id += ';';
   }
   return id;
 }
@@ -172,9 +177,9 @@ RouteVerifyReport verify_route_set(const Topology& topo, const UpDown& ud,
                             std::to_string(d));
           continue;
         }
-        // Cross-check the store's own reconstruction (explicit tier: the
-        // stored switch walk; factorized tier: the composition tables)
-        // against the topology re-trace above.
+        // Cross-check the store's own reconstruction (the switch walk it
+        // rederives from its composition tables) against the topology
+        // re-trace above.
         const Route full = materialize_route(r);
         if (!std::equal(path.sw.begin(), path.sw.end(),
                         full.switches.begin(), full.switches.end())) {

@@ -1,13 +1,12 @@
-// Construction of the two routing tables the paper compares.
+// Construction of the routing tables the schemes use.
 //
-// Both builders stage per-source-switch rows of materialized Routes and
-// compress them into the flat contiguous store (core/route_store.hpp).
-// Row construction is independent per source switch, so with `jobs` > 1
-// the staging fans out across the shared thread pool (sim/pool.hpp); the
-// compression pass then consumes rows strictly in (s,d) order, making the
-// result bit-identical to the serial build.  The `*_nested` variants
-// return the raw staged representation for the differential harness and
-// the bench A/B.
+// Every builder stages per-row switch-pair routes straight into the
+// factorized store (core/route_store.hpp) without materializing a Route.
+// Row staging is independent per row, so with `jobs` > 1 it fans out
+// across the shared thread pool (sim/pool.hpp); the merge then consumes
+// rows strictly in order, making the store bit-identical to the serial
+// build.  The test suite keeps independent reference builders in
+// tests/support/ and compares the tables pair for pair.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,9 @@ struct ItbBuildOptions {
                                            int jobs = 1);
 
 /// ITB table: up to `max_alternatives` *minimal* paths per pair, each split
-/// into legal legs with in-transit hosts at the violating switches.
-/// Alternatives are ordered by ascending in-transit count (stable within a
-/// count), so alternative 0 — the one ITB-SP always uses — is a legal
-/// minimal path whenever one exists.  A minimal path whose required split
+/// into legal legs with in-transit hosts at the violating switches, in
+/// enumeration order (or by ascending in-transit count with
+/// `opts.prefer_fewest_itbs`).  A minimal path whose required split
 /// switch has no attached host is discarded; if every candidate is
 /// discarded the pair falls back to one shortest legal (up*/down*) route so
 /// connectivity is never lost.  `jobs` as in build_updown_routes.
@@ -59,23 +57,5 @@ struct ItbBuildOptions {
 /// std::invalid_argument otherwise.  `jobs` as in build_updown_routes.
 [[nodiscard]] RouteSet build_minimal_routes(const Topology& topo,
                                             int jobs = 1);
-
-/// Legacy nested staging tables (differential tests, bench A/B).  Same
-/// route values as the flat builders, serial construction.
-[[nodiscard]] NestedRouteTable build_updown_routes_nested(
-    const Topology& topo, const SimpleRoutes& sr);
-[[nodiscard]] NestedRouteTable build_itb_routes_nested(
-    const Topology& topo, const UpDown& ud, ItbBuildOptions opts = {});
-[[nodiscard]] NestedRouteTable build_minimal_routes_nested(
-    const Topology& topo);
-
-/// Helper shared by both builders: lowers a switch-level path (plus split
-/// points for ITB legs) into a runtime Route with concrete ports and
-/// in-transit host choices.  `alt_index` participates in in-transit host
-/// spreading so different alternatives use different hosts of the same
-/// switch.
-[[nodiscard]] Route compile_route(const Topology& topo, const SwitchPath& path,
-                                  const std::vector<int>& split_points,
-                                  int alt_index, std::uint64_t itb_host_salt);
 
 }  // namespace itb

@@ -17,24 +17,15 @@
 #include "net/network.hpp"
 #include "route/updown.hpp"
 #include "sim/simulator.hpp"
+#include "support/pack_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared fixture: the 5-switch network from test_network_itb whose pair
+// Shared fixture: itb_fixture() (support/pack_routes.hpp), whose pair
 // (3 -> 2) needs one in-transit buffer.  Hosts: switch s owns {2s, 2s+1}.
-Topology itb_fixture() {
-  Topology t(5, 8, "itb-fixture");
-  t.connect_auto(0, 1);
-  t.connect_auto(0, 2);
-  t.connect_auto(1, 3);
-  t.connect_auto(2, 4);
-  t.connect_auto(3, 4);
-  for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
-  return t;
-}
 
 struct Rig {
   Topology topo;
@@ -96,7 +87,7 @@ TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
     r.legs.push_back(leg);
     staged.mutable_alternatives(s, d).push_back(r);
   }
-  const RouteSet routes(staged);
+  const RouteSet routes = pack_routes(t, staged);
 
   MyrinetParams p;
   Simulator sim;

@@ -8,6 +8,7 @@
 #include "net/network.hpp"
 #include "route/simple_routes.hpp"
 #include "sim/simulator.hpp"
+#include "support/pack_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -18,29 +19,8 @@ constexpr TimePs W = 49200;
 constexpr TimePs R = 150000;
 constexpr TimePs D = 275000 + 200000;  // detect + DMA program
 
-// Five-switch network whose pair (3 -> 4) has a unique minimal path that
-// violates up*/down* and therefore needs exactly one in-transit buffer:
-//
-//        0 (root)
-//       / \ .
-//      1   2        levels 1
-//      |   |
-//      3---4        levels 2; cable 3-4 oriented up-end = 3
-//
-// Minimal 3->2 is 3-4-2?  We use pair (3 -> 2): the only 2-hop path is
-// 3-4, 4-2: "down" (3->4, since up end is 3) then "up" (4->2) — illegal,
-// split at switch 4.  The legal alternative 3-1-0-2 has 3 hops, so the
-// minimal path is unique and the ITB table must use the split route.
-Topology itb_fixture() {
-  Topology t(5, 8, "itb-fixture");
-  t.connect_auto(0, 1);
-  t.connect_auto(0, 2);
-  t.connect_auto(1, 3);
-  t.connect_auto(2, 4);
-  t.connect_auto(3, 4);
-  for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
-  return t;
-}
+// Fixture: support/pack_routes.hpp itb_fixture(), pair (3 -> 2) needs
+// exactly one in-transit buffer, at switch 4.
 
 struct Capture {
   std::vector<DeliveryRecord> records;

@@ -16,6 +16,7 @@
 
 #include "check/route_verify.hpp"
 #include "harness/testbed.hpp"
+#include "support/pack_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -120,32 +121,33 @@ TEST(RouteVerifierNegative, DetectsNonMinimalMinTable) {
   // the up*/down* legality check, which MIN tables are exempt from) must
   // fire.
   const Testbed tb(make_full_mesh(8, 2), kAutoRoot);
-  NestedRouteTable routes =
-      tb.routes(RoutingScheme::kMinimal).materialize_nested();
+  NestedRouteTable routes = materialize_nested(tb.routes(RoutingScheme::kMinimal));
   auto& alts = routes.mutable_alternatives(0, 1);
   ASSERT_EQ(alts.size(), 1u);
   ASSERT_EQ(alts[0].total_switch_hops, 1);
-  const Route via2 = [&] {
-    // 0 -> 2 -> 1: both hops exist in a full mesh.
-    NestedRouteTable t2 =
-        tb.routes(RoutingScheme::kMinimal).materialize_nested();
-    Route r = t2.mutable_alternatives(0, 2)[0];
-    const Route& second = t2.mutable_alternatives(2, 1)[0];
-    r.legs[0].ports.insert(r.legs[0].ports.end(),
-                           second.legs[0].ports.begin(),
-                           second.legs[0].ports.end());
-    r.legs[0].switch_hops += second.legs[0].switch_hops;
-    r.total_switch_hops += second.total_switch_hops;
-    return r;
-  }();
+  // 0 -> 2 -> 1: both hops exist in a full mesh.
+  Route via2 = routes.alternatives(0, 2)[0];
+  const Route& second = routes.alternatives(2, 1)[0];
+  via2.dst_switch = 1;
+  via2.switches = {0, 2, 1};
+  via2.legs[0].ports.insert(via2.legs[0].ports.end(),
+                            second.legs[0].ports.begin(),
+                            second.legs[0].ports.end());
+  via2.legs[0].switch_hops += second.legs[0].switch_hops;
+  via2.total_switch_hops += second.total_switch_hops;
   alts[0] = via2;
   // materialize_nested() preserves kMinimal, so the verifier stays in its
   // minimal-table mode on the round trip.
-  const RouteSet flat(routes);
+  const RouteSet flat = pack_routes(tb.topo(), routes);
   ASSERT_EQ(flat.algorithm(), RoutingAlgorithm::kMinimal);
   const RouteVerifyReport rep =
       verify_route_set(tb.topo(), tb.updown(), flat);
-  EXPECT_FALSE(rep.ok());
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations.front().detail.find(
+                "pair 0->1 alt 0: path has 2 hops, canonical minimal "
+                "length is 1"),
+            std::string::npos)
+      << rep.violations.front().detail;
 }
 
 TEST(RouteProperties, AlternativesCappedAndDistinct) {
@@ -177,21 +179,38 @@ TEST(RouteProperties, AlternativesCappedAndDistinct) {
 
 Testbed small_testbed() { return Testbed(make_torus_2d(4, 4, 2)); }
 
-// Mutation fixtures inflate the immutable store back into a nested table,
-// corrupt it, and re-compress for verification.
+// Mutation fixtures inflate the immutable store into a nested table,
+// corrupt it, and pack it back for verification.
 NestedRouteTable copy_itb_table(const Testbed& tb) {
-  return tb.routes(RoutingScheme::kItbSp).materialize_nested();
+  return materialize_nested(tb.routes(RoutingScheme::kItbSp));
 }
 
-std::uint64_t verify_count(const Testbed& tb, const NestedRouteTable& routes) {
-  return verify_route_set(tb.topo(), tb.updown(), RouteSet(routes))
-      .violations.size();
+RouteVerifyReport verify_packed(const Testbed& tb,
+                                const NestedRouteTable& routes,
+                                const RouteVerifyOptions& opts = {}) {
+  return verify_route_set(tb.topo(), tb.updown(),
+                          pack_routes(tb.topo(), routes), opts);
+}
+
+/// Every violation detail of `rep`, one per line (assertion messages).
+std::string details(const RouteVerifyReport& rep) {
+  std::string out;
+  for (const InvariantViolation& v : rep.violations) out += v.detail + "\n";
+  return out;
+}
+
+/// True when some violation of `rep` mentions `what`.
+bool reports(const RouteVerifyReport& rep, const std::string& what) {
+  return std::any_of(rep.violations.begin(), rep.violations.end(),
+                     [&](const InvariantViolation& v) {
+                       return v.detail.find(what) != std::string::npos;
+                     });
 }
 
 TEST(RouteVerifierNegative, DetectsMissingItbSplit) {
   const Testbed tb = small_testbed();
   NestedRouteTable routes = copy_itb_table(tb);
-  ASSERT_EQ(verify_count(tb, routes), 0u);
+  ASSERT_TRUE(verify_packed(tb, routes).ok());
   // Find a split route and fuse its legs into one illegal leg (the
   // down->up path an ITB was supposed to break).
   bool mutated = false;
@@ -217,7 +236,9 @@ TEST(RouteVerifierNegative, DetectsMissingItbSplit) {
     }
   }
   ASSERT_TRUE(mutated) << "4x4 torus must have at least one split route";
-  EXPECT_GT(verify_count(tb, routes), 0u);
+  const RouteVerifyReport rep = verify_packed(tb, routes);
+  EXPECT_TRUE(reports(rep, "leg 0 violates up*/down* (down->up inside a leg)"))
+      << details(rep);
 }
 
 TEST(RouteVerifierNegative, DetectsCorruptPortWalk) {
@@ -230,8 +251,14 @@ TEST(RouteVerifierNegative, DetectsCorruptPortWalk) {
       if (s == d) continue;
       Route& r = routes.mutable_alternatives(s, d)[0];
       if (r.total_switch_hops < 1) continue;
-      r.legs[0].ports[0] = tb.topo().host(tb.topo().hosts_of_switch(s)[0]).port;
-      EXPECT_GT(verify_count(tb, routes), 0u);
+      const PortId host_port =
+          tb.topo().host(tb.topo().hosts_of_switch(s)[0]).port;
+      r.legs[0].ports[0] = host_port;
+      const RouteVerifyReport rep = verify_packed(tb, routes);
+      EXPECT_TRUE(reports(rep, "leg 0 port byte " + std::to_string(host_port) +
+                                   " at switch " + std::to_string(s) +
+                                   " does not lead to a switch"))
+          << details(rep);
       return;
     }
   }
@@ -243,33 +270,26 @@ TEST(RouteVerifierNegative, DetectsDuplicateAndOverCapAlternatives) {
   NestedRouteTable routes = copy_itb_table(tb);
   auto& alts = routes.mutable_alternatives(0, 5);
   ASSERT_FALSE(alts.empty());
+  // A copy composes to the same route only if it has no in-transit host
+  // (the host choice depends on the alternative slot).
+  ASSERT_EQ(alts.front().num_itbs(), 0);
   alts.push_back(alts.front());  // duplicate
-  EXPECT_GT(verify_count(tb, routes), 0u);
+  EXPECT_TRUE(reports(verify_packed(tb, routes),
+                      "duplicate of an earlier alternative"));
   while (alts.size() <= 10) alts.push_back(alts.front());
-  RouteVerifyOptions opts;
-  const auto rep =
-      verify_route_set(tb.topo(), tb.updown(), RouteSet(routes), opts);
-  bool over_cap = false;
-  for (const auto& v : rep.violations) {
-    if (v.detail.find("cap is") != std::string::npos) over_cap = true;
-  }
-  EXPECT_TRUE(over_cap);
+  const RouteVerifyReport rep = verify_packed(tb, routes);
+  EXPECT_TRUE(reports(rep, "pair 0->5 alt -1: table holds 11 alternatives, "
+                           "cap is 10"))
+      << details(rep);
 }
 
 TEST(RouteVerifierNegative, DetectsNonMinimalPath) {
-  // On the torus every up*/down* route happens to be minimal, so build the
-  // 5-switch fixture from test_network_itb: pair (3 -> 2) has minimal
-  // distance 2 (the illegal path through switch 4) but legal distance 3
-  // (3-1-0-2).  Swapping the split 2-hop ITB route for the 3-hop up*/down*
-  // detour produces exactly the legal-shortest-fallback shape.
-  Topology t(5, 8, "itb-fixture");
-  t.connect_auto(0, 1);
-  t.connect_auto(0, 2);
-  t.connect_auto(1, 3);
-  t.connect_auto(2, 4);
-  t.connect_auto(3, 4);
-  for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
-  const Testbed tb(std::move(t));
+  // On the torus every up*/down* route happens to be minimal, so use the
+  // 5-switch itb_fixture: pair (3 -> 2) has minimal distance 2 (the
+  // illegal path through switch 4) but legal distance 3 (3-1-0-2).
+  // Swapping the split 2-hop ITB route for the 3-hop up*/down* detour
+  // produces exactly the legal-shortest-fallback shape.
+  const Testbed tb(itb_fixture());
   NestedRouteTable routes = copy_itb_table(tb);
   const Route detour = tb.routes(RoutingScheme::kUpDown).materialize(3, 2, 0);
   ASSERT_EQ(detour.total_switch_hops, 3);
@@ -280,11 +300,14 @@ TEST(RouteVerifierNegative, DetectsNonMinimalPath) {
   // Strict mode must flag it; fallback mode accepts exactly this shape
   // (single legal alternative at legal distance), documenting the
   // build_itb_routes escape hatch for pairs with no usable minimal path.
-  const RouteSet flat(routes);
   RouteVerifyOptions strict;
   strict.allow_legal_fallback = false;
-  EXPECT_FALSE(verify_route_set(tb.topo(), tb.updown(), flat, strict).ok());
-  EXPECT_TRUE(verify_route_set(tb.topo(), tb.updown(), flat).ok());
+  const RouteVerifyReport rep = verify_packed(tb, routes, strict);
+  ASSERT_EQ(rep.violations.size(), 1u) << details(rep);
+  EXPECT_TRUE(reports(rep, "pair 3->2 alt 0: path has 3 hops, minimal "
+                           "distance is 2"))
+      << details(rep);
+  EXPECT_TRUE(verify_packed(tb, routes).ok());
 }
 
 }  // namespace

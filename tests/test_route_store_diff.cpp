@@ -1,19 +1,24 @@
-// Differential verification of the compressed route store: the flat
+// Differential verification of the factorized route store: the runtime
 // builders must produce, pair for pair and alternative for alternative,
-// exactly the Routes the legacy nested builders stage — on all three paper
-// testbeds, for both the UP/DOWN and the ITB table.  A second suite checks
-// the dedup machinery from the raw arrays: every interned segment must
-// reconstruct the original port/switch sequences byte for byte, and the
-// compressed table must actually be smaller than the nested one it
-// replaced.
+// exactly the Routes the nested reference builders (support/) compile — on
+// the paper testbeds and the low-diameter beds, for every table.  A second
+// suite checks the dedup machinery from the raw arrays: every interned
+// segment must reconstruct the original port sequences byte for byte, and
+// the store must actually be smaller than the nested table.  A third
+// checks pack_routes, the path every hand-built test table takes into the
+// store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/route_builder.hpp"
 #include "harness/testbed.hpp"
+#include "support/pack_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -102,40 +107,81 @@ TEST(RouteStoreDifferential, MinimalFlatMatchesNestedOnLowDiameter) {
 
 TEST(RouteStoreDedup, DenseGraphSharesSegmentsAndRoundTrips) {
   // On a full mesh every route is one hop, so the walk pool should intern
-  // aggressively; the round trip through materialize_nested (which lands
-  // in the explicit tier) must still be loss-free.
+  // aggressively; packing the materialized table must be loss-free and
+  // land on the same distinct shapes.
   const Testbed tb(make_full_mesh(16, 2), kAutoRoot);
   const RouteSet& flat = tb.routes(RoutingScheme::kItbSp);
-  EXPECT_EQ(flat.store().tier(), StoreTier::kFactorized);
   EXPECT_GT(flat.segments_shared(), 0u);
-  const RouteSet again(flat.materialize_nested());
-  EXPECT_EQ(again.store().tier(), StoreTier::kExplicit);
-  EXPECT_EQ(flat.store().num_routes(), again.store().num_routes());
-  // The factorized core holds distinct shapes only — it must be smaller
-  // than the instance-flat layout of the same table.
-  EXPECT_LT(flat.store().core_bytes(), again.table_bytes());
-  expect_tables_identical("fullmesh roundtrip", again.materialize_nested(),
-                          flat);
+  const NestedRouteTable nested = materialize_nested(flat);
+  const RouteSet again = pack_routes(tb.topo(), nested);
+  const RouteStore& a = flat.store();
+  const RouteStore& b = again.store();
+  EXPECT_EQ(a.num_routes(), b.num_routes());
+  EXPECT_EQ(a.distinct_walks(), b.distinct_walks());
+  EXPECT_EQ(a.distinct_routes(), b.distinct_routes());
+  EXPECT_EQ(a.distinct_altlists(), b.distinct_altlists());
+  EXPECT_EQ(a.core_bytes(), b.core_bytes());
+  expect_tables_identical("fullmesh roundtrip", nested, again);
+}
+
+/// Raw bytes of a span of trivially copyable records.
+template <typename T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
 }
 
 TEST(RouteStoreDifferential, MaterializeNestedRoundTrips) {
-  // compress(materialize_nested(x)) must reproduce x's arrays for the
-  // explicit tier, and the factorized table must materialize to the same
-  // values — the representations carry the same information.
+  // pack(materialize(x)) must carry x's route values, and packing is
+  // idempotent: a second round trip reproduces every array byte for byte.
   const Testbed tb(make_torus_2d(8, 8, 2));
   const RouteSet& flat = tb.routes(RoutingScheme::kItbSp);
-  const RouteSet once(flat.materialize_nested());
-  const RouteSet twice(once.materialize_nested());
+  const RouteSet once = pack_routes(tb.topo(), materialize_nested(flat));
+  const RouteSet twice = pack_routes(tb.topo(), materialize_nested(once));
   const RouteStore& a = once.store();
   const RouteStore& b = twice.store();
-  EXPECT_TRUE(std::equal(a.port_pool().begin(), a.port_pool().end(),
-                         b.port_pool().begin(), b.port_pool().end()));
-  EXPECT_TRUE(std::equal(a.switch_pool().begin(), a.switch_pool().end(),
-                         b.switch_pool().begin(), b.switch_pool().end()));
+  EXPECT_TRUE(same_bytes(a.port_pool(), b.port_pool()));
+  EXPECT_TRUE(same_bytes(a.walks(), b.walks()));
+  EXPECT_TRUE(same_bytes(a.route_walks(), b.route_walks()));
+  EXPECT_TRUE(same_bytes(a.core_routes(), b.core_routes()));
+  EXPECT_TRUE(same_bytes(a.alt_routes(), b.alt_routes()));
+  EXPECT_TRUE(same_bytes(a.altlists(), b.altlists()));
+  EXPECT_TRUE(same_bytes(a.pair_altlist(), b.pair_altlist()));
   EXPECT_EQ(a.num_routes(), b.num_routes());
   EXPECT_EQ(a.num_pairs(), b.num_pairs());
   EXPECT_EQ(a.table_bytes(), b.table_bytes());
-  expect_tables_identical("torus roundtrip", once.materialize_nested(), flat);
+  expect_tables_identical("torus roundtrip", materialize_nested(once), flat);
+}
+
+TEST(RouteStorePack, RejectsRoutesTheStoreCannotHold) {
+  // pack_routes must refuse a fixture the store would silently turn into a
+  // different route: one filed under the wrong pair, or one whose
+  // in-transit host is not the host the store derives for its slot.
+  const Testbed tb(itb_fixture());
+  const NestedRouteTable base = materialize_nested(tb.routes(RoutingScheme::kItbSp));
+  EXPECT_NO_THROW((void)pack_routes(tb.topo(), base));
+  auto rejects = [&](const NestedRouteTable& t, const std::string& what) {
+    try {
+      (void)pack_routes(tb.topo(), t);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find(what) != std::string::npos;
+    }
+    return false;
+  };
+
+  NestedRouteTable misfiled = base;
+  misfiled.mutable_alternatives(3, 1)[0] = base.alternatives(3, 2)[0];
+  EXPECT_TRUE(rejects(misfiled,
+                      "pair 3->1 alt 0: endpoints disagree with the table slot"));
+
+  // Pair 3 -> 2 is split at switch 4 (hosts 8 and 9): eject into the
+  // other host.
+  NestedRouteTable rehosted = base;
+  RouteLeg& leg0 = rehosted.mutable_alternatives(3, 2)[0].legs[0];
+  ASSERT_NE(leg0.end_host, kNoHost);
+  leg0.end_host = leg0.end_host == 8 ? 9 : 8;
+  leg0.ports.back() = tb.topo().host(leg0.end_host).port;
+  EXPECT_TRUE(rejects(rehosted, "pair 3->2 alt 0: the store composes"));
 }
 
 // --- dedup property: interned segments reconstruct exactly ---------------
@@ -153,7 +199,6 @@ TEST(RouteStoreDedup, SharedSegmentsReconstructByteIdentical) {
       build_itb_routes_nested(tb.topo(), tb.updown());
   const RouteSet flat = build_itb_routes(tb.topo(), tb.updown());
   const RouteStore& store = flat.store();
-  ASSERT_EQ(store.tier(), StoreTier::kFactorized);
 
   // Dedup must actually fire on a regular topology: many pairs share
   // dimension-ordered sub-walks.
@@ -203,13 +248,13 @@ TEST(RouteStoreDedup, SharedSegmentsReconstructByteIdentical) {
 }
 
 TEST(RouteStoreDedup, CompressedTableAtLeastHalvesNestedFootprint) {
-  // Acceptance bar from the issue: on a 512-host testbed (16x16 torus,
+  // Acceptance bar: on a 512-host testbed (16x16 torus,
   // 2 hosts/switch) the flat store must cut table memory by at least 2x
   // versus the nested representation it replaced.
   const Testbed tb(make_torus_2d(16, 16, 2));
   const RouteSet& flat = tb.routes(RoutingScheme::kItbSp);
   const std::uint64_t nested_bytes =
-      nested_table_bytes(flat.materialize_nested());
+      nested_table_bytes(materialize_nested(flat));
   EXPECT_GT(flat.table_bytes(), 0u);
   EXPECT_LE(flat.table_bytes() * 2, nested_bytes)
       << "flat=" << flat.table_bytes() << " nested=" << nested_bytes;

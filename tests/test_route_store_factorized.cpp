@@ -1,7 +1,7 @@
-// Properties specific to the switch-pair factorized tier: on-the-fly
-// host-leg composition must agree with compile_route for every pair —
-// including non-default ITB host salts and alternative-preference orders —
-// the factorized pools must be byte-identical for every jobs value, and a
+// Properties of the switch-pair factorized store: on-the-fly host-leg
+// composition must agree with the reference compile_route (support/) for
+// every pair — including non-default ITB host salts and
+// alternative-preference orders — the factorized pools must be byte-identical for every jobs value, and a
 // full-scale table (the dragonfly16 bench point under ITB_CHECKED) must
 // pass the route-legality verifier, which retraces every composed walk
 // against the topology.
@@ -16,6 +16,7 @@
 #include "core/route_builder.hpp"
 #include "harness/testbed.hpp"
 #include "route/topo_minimal.hpp"
+#include "support/nested_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -133,8 +134,6 @@ void expect_span_equal(std::span<const T> a, std::span<const T> b,
 }
 
 void expect_pools_byte_identical(const RouteStore& a, const RouteStore& b) {
-  ASSERT_EQ(a.tier(), StoreTier::kFactorized);
-  ASSERT_EQ(b.tier(), StoreTier::kFactorized);
   expect_span_equal(a.port_pool(), b.port_pool(), "port_pool");
   expect_span_equal(a.walks(), b.walks(), "walks");
   expect_span_equal(a.route_walks(), b.route_walks(), "route_walks");
@@ -182,7 +181,6 @@ TEST(RouteStoreFactorized, ScalePointPassesRouteVerifier) {
   const Testbed tb(make_dragonfly(8, 8, 4), kAutoRoot);
 #endif
   const RouteSet rs = build_itb_routes(tb.topo(), tb.updown(), {}, 8);
-  ASSERT_EQ(rs.store().tier(), StoreTier::kFactorized);
   const RouteVerifyReport rep = verify_route_set(tb.topo(), tb.updown(), rs);
   EXPECT_TRUE(rep.ok()) << rep.violations.size() << " violations; first: "
                         << (rep.violations.empty()

@@ -11,6 +11,7 @@
 #include "net/stall_detector.hpp"
 #include "route/simple_routes.hpp"
 #include "sim/simulator.hpp"
+#include "support/pack_routes.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -57,7 +58,7 @@ RouteSet make_cyclic_routes(const Topology& t) {
       nested.mutable_alternatives(s, d).push_back(std::move(r));
     }
   }
-  return RouteSet(nested);
+  return pack_routes(t, nested);
 }
 
 TEST(StallDetector, QuietOnHealthyTraffic) {

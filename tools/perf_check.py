@@ -91,10 +91,8 @@ EFFICIENCY_FLOOR = 0.9
 # pointers) may sit at most this fraction below the committed baseline.
 TRACING_OVERHEAD_BUDGET = 0.02
 
-# Budget for the compressed route store's end-to-end cost: the flat-store
-# POD rate may sit at most this fraction below the baseline's (which for
-# pre-flat-store baselines is the nested-table rate, making this the
-# nested-vs-flat e2e A/B across records).
+# Budget for the route store's end-to-end cost: the flat-store POD rate may
+# sit at most this fraction below the baseline's.
 ROUTE_STORE_E2E_BUDGET = 0.02
 
 
@@ -196,8 +194,7 @@ def main():
               f"{fresh_tele.get('sharded_lane_imbalance', 0.0):.2f}")
 
     # Route-store smoke: the flat store's end-to-end rate against the
-    # baseline pod rate (a nested-era baseline makes this the nested-vs-flat
-    # comparison), plus the fresh record's build/memory numbers.
+    # baseline pod rate, plus the fresh record's build numbers.
     route = fresh_record.get("micro_kernel", {}).get("route_store", {})
     flat_e2e = route.get("flat_e2e_events_per_sec")
     if base_pod and flat_e2e:
@@ -210,10 +207,7 @@ def main():
                   f"rate {overhead * 100.0:.1f}% below baseline (budget "
                   f"{ROUTE_STORE_E2E_BUDGET * 100.0:.0f}%)")
     if route:
-        shrink = route.get("table_shrink")
         speedup = route.get("parallel_build_speedup")
-        if shrink is not None:
-            print(f"  route-store table shrink vs nested: {shrink:.2f}x")
         if speedup is not None:
             print(f"  route-store parallel build speedup "
                   f"(jobs={route.get('parallel_jobs', '?')}): {speedup:.2f}x")
@@ -294,12 +288,6 @@ def main():
               f"(core {cell.get('core_bytes', 0) / 1024.0:.1f} KiB), "
               f"build {cell.get('build_ms', 0):.1f} ms, "
               f"compose {cell.get('compose_ns_avg', 0):.0f} ns")
-        explicit = cell.get("explicit_table_bytes", 0)
-        if explicit and bytes_now >= explicit:
-            regressions += 1
-            print(f"::warning title=perf-smoke::route-scale {label}: "
-                  f"factorized table ({bytes_now} B) not smaller than the "
-                  f"instance-flat tier ({explicit} B)")
         prior = base_scale.get(scale_key(cell))
         if prior and prior.get("table_bytes"):
             growth = bytes_now / prior["table_bytes"] - 1.0
