@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -36,7 +37,8 @@ class PathSelector {
 
   /// Return the selector to the exact state the corresponding constructor
   /// would produce (same RNG stream, same rotation offsets), reusing table
-  /// capacity where possible.  Part of the workspace-reuse determinism
+  /// capacity where possible.  O(1): no per-destination state is touched
+  /// until a pick asks for it.  Part of the workspace-reuse determinism
   /// contract (see sim/workspace.hpp).
   void reset(PathPolicy policy, int num_switches, std::uint64_t seed);
 
@@ -46,23 +48,31 @@ class PathSelector {
   void feedback(SwitchId dst_switch, int alternative, TimePs latency);
 
  private:
+  /// Draw the round-robin offsets of destinations [size, n) in order.
+  void fill_rr_offsets(std::size_t n);
+
   /// Grow the EWMA table's row stride to at least `alts` columns,
   /// re-laying existing rows out in place (new cells read "unexplored").
   void ensure_ewma_stride(int alts);
 
-  [[nodiscard]] double* ewma_row(SwitchId dst_switch) {
-    return ewma_.data() + static_cast<std::size_t>(dst_switch) *
-                              static_cast<std::size_t>(ewma_stride_);
-  }
+  /// The EWMA row of `dst_switch`, or nullptr while it has no feedback.
+  [[nodiscard]] double* find_ewma_row(SwitchId dst_switch);
 
   PathPolicy policy_;
   Rng rng_;
   int num_switches_ = 0;
-  std::vector<std::uint32_t> rr_next_;  // per destination switch
-  // One flat num_switches x ewma_stride_ array (row-major, -1.0 means
-  // unexplored) instead of a vector per destination: the same
-  // pointer-chasing fix as the route store, selector-local.  The stride
-  // grows lazily to the widest alternative count seen, preserving values.
+  // kRoundRobin: rotation counter per destination switch, drawn on demand
+  // as a prefix — rr_next_[d] is always the (d+1)-th draw of rng_ (the
+  // policy draws nothing else), so a NIC holds counters only up to the
+  // highest destination it has picked.
+  std::vector<std::uint32_t> rr_next_;
+  // kAdaptive: one flat rows x ewma_stride_ array (row-major, -1.0 means
+  // unexplored) holding a row only for destinations that have had
+  // feedback; a destination without a row reads all-unexplored.  The
+  // stride grows lazily to the widest alternative count seen, preserving
+  // values.  ewma_row_of_ maps destination -> row, sorted by destination
+  // (a compact index: every NIC embeds one selector).
+  std::vector<std::pair<SwitchId, std::uint32_t>> ewma_row_of_;
   std::vector<double> ewma_;
   int ewma_stride_ = 0;
   static constexpr double kEwmaAlpha = 0.1;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <stdexcept>
+#include <thread>
 
 #include "route/minimal_paths.hpp"
 #include "route/topo_minimal.hpp"
@@ -15,24 +15,6 @@ namespace {
 
 std::size_t idx(std::int64_t v) { return static_cast<std::size_t>(v); }
 
-/// All-pairs BFS distance matrix (row-major, row = source switch), staged
-/// once per table build so the per-pair enumeration reuses rows instead of
-/// re-running a BFS per pair — the difference between minutes and seconds
-/// on dense low-diameter graphs.  Distances are canonical values, so any
-/// jobs value yields the same matrix.
-std::vector<int> all_pairs_distances(const Topology& topo, int jobs) {
-  const int n = topo.num_switches();
-  std::vector<std::vector<int>> rows = parallel_map<std::vector<int>>(
-      n, jobs,
-      [&](int s) { return topo.switch_distances_from(static_cast<SwitchId>(s)); });
-  std::vector<int> flat(idx(n) * idx(n));
-  for (int s = 0; s < n; ++s) {
-    std::copy(rows[idx(s)].begin(), rows[idx(s)].end(),
-              flat.begin() + idx(s) * idx(n));
-  }
-  return flat;
-}
-
 // ---------------------------------------------------------------------------
 // Factorized staging: the builders stage switch-pair rows directly into
 // the factorized block format (core/route_store.hpp) — no Route is ever
@@ -40,6 +22,8 @@ std::vector<int> all_pairs_distances(const Topology& topo, int jobs) {
 // buffers are reused across every source a task stages.
 
 struct StageScratch {
+  std::vector<int> dist;  // BFS distances to the ITB row's destination
+  std::vector<SwitchId> queue;
   std::vector<PortId> ports;
   std::vector<int> splits;
   std::vector<std::uint32_t> walk_ids;
@@ -104,8 +88,8 @@ void stage_minimal_row(const Topology& topo, const StructuredMinimal& sm,
 }
 
 /// Stages the column of one *destination*: all sources, in source order.
-/// Iterating destination-major lets the (cache-hostile) distance-matrix row
-/// and the pruned minimal-step DAG derived from it be built once per
+/// Iterating destination-major lets the BFS distances to the destination
+/// and the pruned minimal-step DAG derived from them be built once per
 /// destination and shared by every source's DFS — the enumeration inner
 /// loop then touches only edges known to lie on a minimal path.  Per-pair
 /// values (rotation, split scan, host-feasibility, tags) are untouched, so
@@ -164,13 +148,14 @@ void stage_itb_dest_row(const Topology& topo, const UpDown& ud,
   }
 }
 
-/// Stage blocks of rows (in parallel when jobs > 1) and merge them in row
-/// order.  A "row" is one source switch for the UP/DOWN and MIN builders
-/// and one *destination* for the ITB builder (pair_transposed = true; the
-/// store builder transposes the pair index back).  Global intern ids are
-/// assigned in first-appearance order over the canonical row-major pair
-/// stream, which is independent of how rows are blocked across workers —
-/// the store is bit-identical for every jobs value.
+/// Stage blocks of rows (in parallel when more than one worker is worth
+/// it) and merge them in row order.  A "row" is one source switch for the
+/// UP/DOWN and MIN builders and one *destination* for the ITB builder
+/// (pair_transposed = true; the store builder files each pair under its
+/// (s, d) slot).  Global intern ids are assigned in first-appearance order
+/// over the canonical row-major pair stream, which is independent of how
+/// rows are blocked across workers — the store is bit-identical for every
+/// jobs value.
 template <typename StageRow>
 RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
                           std::uint64_t itb_host_salt, int jobs,
@@ -179,7 +164,8 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
   const int n = topo.num_switches();
   FactorizedStoreBuilder b(topo, itb_host_salt);
   b.set_pair_transposed(pair_transposed);
-  if (jobs <= 1) {
+  const int workers = route_build_workers(n, jobs);
+  if (workers <= 1) {
     // Serial: one block, one stager, one scratch — cleared (capacity
     // retained) between rows.
     FactorizedBlock block;
@@ -192,26 +178,25 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
     }
   } else {
     // Chunked fan-out: a few blocks per worker keeps per-task overhead
-    // bounded while the ordered serial merge stays O(distinct shapes).
+    // bounded while the ordered merge stays O(distinct shapes).  Blocks
+    // are merged as soon as they and every block before them are staged,
+    // so the serial merge overlaps staging and only about `workers`
+    // blocks are alive at once.
     // NOTE: callers on pool worker threads must pass jobs == 1
     // (pooled_for must not nest; see sim/pool.hpp).
-    const int chunk = std::max(1, (n + jobs * 4 - 1) / (jobs * 4));
+    const int chunk = std::max(1, (n + workers * 4 - 1) / (workers * 4));
     const int num_blocks = (n + chunk - 1) / chunk;
-    std::vector<FactorizedBlock> blocks = parallel_map<FactorizedBlock>(
-        num_blocks, jobs, [&](int bi) {
-          FactorizedBlock block;
-          FactorizedBlockStager stager;
-          StageScratch sc;
-          stager.begin_block(&block);
-          const int r0 = bi * chunk;
-          const int r1 = std::min(n, r0 + chunk);
-          for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
-          return block;
-        });
-    for (FactorizedBlock& blk : blocks) {
-      b.append_block(blk);
-      blk = FactorizedBlock{};  // free staging as soon as it is merged
-    }
+    StreamedBlockMerge merge(b);
+    parallel_for_n(num_blocks, workers, [&](int bi) {
+      FactorizedBlock block;
+      FactorizedBlockStager stager;
+      StageScratch sc;
+      stager.begin_block(&block);
+      const int r0 = bi * chunk;
+      const int r1 = std::min(n, r0 + chunk);
+      for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
+      merge.deposit(static_cast<std::size_t>(bi), std::move(block));
+    });
   }
   RouteSet rs(n, algo, b.finish());
   rs.set_build_ms(std::chrono::duration<double, std::milli>(
@@ -230,6 +215,13 @@ std::vector<std::uint32_t> hosts_per_switch(const Topology& topo) {
 
 }  // namespace
 
+int route_build_workers(int rows, int jobs) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  int workers = std::min(jobs, rows / kMinRowsPerBuildWorker);
+  if (hw > 0) workers = std::min(workers, hw);
+  return std::max(1, workers);
+}
+
 RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,
                              int jobs) {
   return build_factorized(
@@ -241,18 +233,16 @@ RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,
 
 RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
                           ItbBuildOptions opts, int jobs) {
-  const std::vector<int> all_dist = all_pairs_distances(topo, jobs);
   const SwitchAdjacency adj(topo);
   const std::vector<std::uint32_t> host_count = hosts_per_switch(topo);
-  const auto n = idx(topo.num_switches());
   return build_factorized(
       topo, RoutingAlgorithm::kItb, opts.itb_host_salt, jobs,
       /*pair_transposed=*/true,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId d) {
-        // Row d of the matrix = distances from d = distances to d
-        // (undirected); the pruned DAG is rebuilt in place per destination.
-        sc.dag.build(adj,
-                     std::span<const int>(all_dist.data() + idx(d) * n, n));
+        // Distances from d = distances to d (undirected); both they and
+        // the pruned DAG are rebuilt in place per destination.
+        adj.distances_from(d, sc.dist, sc.queue);
+        sc.dag.build(adj, sc.dist);
         stage_itb_dest_row(topo, ud, opts, host_count, d, st, sc);
       });
 }

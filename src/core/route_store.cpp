@@ -212,8 +212,7 @@ void FactorizedBlockStager::commit_pair(const std::uint32_t* route_ids,
 // Factorized merge
 
 FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo,
-                                               std::uint64_t itb_host_salt)
-    : topo_(&topo) {
+                                               std::uint64_t itb_host_salt) {
   const int S = topo.num_switches();
   const int P = topo.ports_per_switch();
   store_.num_switches_ = S;
@@ -240,7 +239,7 @@ FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo,
   for (HostId hst = 0; hst < topo.num_hosts(); ++hst) {
     store_.host_port_.push_back(topo.host(hst).port);
   }
-  store_.pair_alt_.reserve(uz(S) * uz(S));
+  store_.pair_alt_.assign(uz(S) * uz(S), 0);
 }
 
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
@@ -327,29 +326,43 @@ void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
           return id;
         });
   }
-  // Pair index.
+  // Pair index, written in place at s * S + d.
+  const auto S = uz(store_.num_switches_);
+  if (block.pair_alt.size() > S * S - (next_row_ * S + next_col_)) {
+    throw std::logic_error("FactorizedStoreBuilder: pair stream overflow");
+  }
   for (const std::uint32_t lid : block.pair_alt) {
-    store_.pair_alt_.push_back(alt_remap_[lid]);
+    const std::size_t at = pair_transposed_ ? next_col_ * S + next_row_
+                                            : next_row_ * S + next_col_;
+    store_.pair_alt_[at] = alt_remap_[lid];
+    if (++next_col_ == S) {
+      next_col_ = 0;
+      ++next_row_;
+    }
   }
   store_.num_route_instances_ += block.route_instances;
   leg_instances_ += block.leg_instances;
 }
 
-RouteStore FactorizedStoreBuilder::finish() {
-  const std::size_t want = uz(topo_->num_switches()) * uz(topo_->num_switches());
-  if (store_.pair_alt_.size() != want) {
-    throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
+void StreamedBlockMerge::deposit(std::size_t index, FactorizedBlock block) {
+  std::unique_lock<std::mutex> lock(mu_);
+  waiting_.emplace(index, std::move(block));
+  if (merging_) return;  // the active merger picks this block up
+  merging_ = true;
+  while (!waiting_.empty() && waiting_.begin()->first == next_) {
+    const FactorizedBlock ready = std::move(waiting_.begin()->second);
+    waiting_.erase(waiting_.begin());
+    lock.unlock();
+    builder_->append_block(ready);  // freed as soon as it is merged
+    lock.lock();
+    ++next_;
   }
-  if (pair_transposed_) {
-    // Pairs were streamed destination-major; readers index s * S + d.
-    const std::size_t n = uz(topo_->num_switches());
-    std::vector<std::uint32_t> by_src(want);
-    for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t s = 0; s < n; ++s) {
-        by_src[s * n + d] = store_.pair_alt_[d * n + s];
-      }
-    }
-    store_.pair_alt_ = std::move(by_src);
+  merging_ = false;
+}
+
+RouteStore FactorizedStoreBuilder::finish() {
+  if (next_row_ != uz(store_.num_switches_)) {
+    throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
   }
   store_.port_pool_.shrink_to_fit();
   store_.walks_.shrink_to_fit();

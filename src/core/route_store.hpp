@@ -38,6 +38,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -405,24 +407,23 @@ class FactorizedBlockStager {
 };
 
 /// Serial merge of staged blocks into the global factorized store.
-/// Blocks must be appended in ascending source order, covering every
-/// source switch exactly once.
+/// Blocks must be appended in ascending row order, covering every row
+/// exactly once.
 class FactorizedStoreBuilder {
  public:
   FactorizedStoreBuilder(const Topology& topo, std::uint64_t itb_host_salt);
 
   /// Declares that pairs will be committed destination-major — stream
-  /// position d * S + s instead of s * S + d.  finish() transposes the
-  /// pair index back to the (s, d)-major layout every reader assumes.
-  /// Destination-major staging lets the ITB build reuse one per-destination
-  /// pruned DAG across all sources (see route_builder.cpp).
+  /// position d * S + s instead of s * S + d.  Each pair is written
+  /// straight to its (s, d)-major slot, the layout every reader assumes.
+  /// Destination-major staging lets the ITB build reuse one
+  /// per-destination pruned DAG across all sources (see route_builder.cpp).
   void set_pair_transposed(bool v) { pair_transposed_ = v; }
 
   void append_block(const FactorizedBlock& block);
   [[nodiscard]] RouteStore finish();
 
  private:
-  const Topology* topo_;
   RouteStore store_;
   HashInterner walk_tab_;
   HashInterner route_tab_;
@@ -432,7 +433,33 @@ class FactorizedStoreBuilder {
   std::vector<std::uint32_t> alt_remap_;
   std::vector<std::uint32_t> scratch_ids_;
   std::uint64_t leg_instances_ = 0;
+  // Stream position of the next pair: row (source, or destination when
+  // transposed) and column.
+  std::size_t next_row_ = 0;
+  std::size_t next_col_ = 0;
   bool pair_transposed_ = false;
+};
+
+/// Feeds staged blocks to a FactorizedStoreBuilder in row order while
+/// later blocks are still being staged.  deposit() may be called from any
+/// thread with blocks in any order; the caller whose block completes the
+/// in-order prefix merges it and every consecutive block already waiting.
+/// Only out-of-order blocks are held, and the serial merge overlaps the
+/// staging of the blocks behind it.  Block indices must be 0, 1, 2, ...
+/// with no gaps.
+class StreamedBlockMerge {
+ public:
+  explicit StreamedBlockMerge(FactorizedStoreBuilder& builder)
+      : builder_(&builder) {}
+
+  void deposit(std::size_t index, FactorizedBlock block);
+
+ private:
+  FactorizedStoreBuilder* builder_;
+  std::mutex mu_;
+  std::map<std::size_t, FactorizedBlock> waiting_;
+  std::size_t next_ = 0;
+  bool merging_ = false;
 };
 
 /// Materialize an owning Route from a view (adapter for tests, IO and the

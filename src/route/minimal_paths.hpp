@@ -2,6 +2,13 @@
 // graph.  The ITB mechanism starts from these and splits them into
 // up*/down*-legal segments; the paper caps the number of alternative routes
 // per source-destination pair at 10 to bound NIC table size.
+//
+// The enumeration is a DFS that visits each switch's fabric ports in port
+// order, rotated by a per-pair `rotation`, so that "the first minimal
+// path" — the one ITB-SP pins — is spread across directions instead of
+// systematically preferring low-numbered ports.  The test suite keeps an
+// independent vector-returning enumerator (tests/support/) and pins this
+// one against it.
 #pragma once
 
 #include <cstddef>
@@ -9,48 +16,15 @@
 #include <span>
 #include <vector>
 
-#include "route/switch_path.hpp"
 #include "topo/topology.hpp"
 
 namespace itb {
 
-/// Up to `max_paths` distinct minimal paths from s to d in deterministic
-/// DFS sequence.  s == d yields the trivial path.
-///
-/// `port_rotation` rotates the per-switch port visiting order; the DFS
-/// therefore *starts* from a different direction for different rotations
-/// while still enumerating the same set.  Route construction passes a
-/// per-pair hash here so that "the first minimal path" — the one ITB-SP
-/// pins — is spread across directions instead of systematically
-/// preferring low-numbered ports (which would starve express channels
-/// and overload +x rings).
-[[nodiscard]] std::vector<SwitchPath> enumerate_minimal_paths(
-    const Topology& topo, SwitchId s, SwitchId d, int max_paths,
-    unsigned port_rotation = 0);
-
-/// Same enumeration, but with the BFS distances *to d* supplied by the
-/// caller (`dist_to_d[u]` = hop distance from u to d; the graph is
-/// undirected, so Topology::switch_distances_from(d) serves).  The large
-/// table builds pass rows of a precomputed all-pairs matrix here so the
-/// per-pair BFS — which dwarfs the DFS on dense low-diameter graphs —
-/// happens once per destination instead of once per pair.  The emitted
-/// paths and their order are identical to the overload above.
-[[nodiscard]] std::vector<SwitchPath> enumerate_minimal_paths(
-    const Topology& topo, SwitchId s, SwitchId d, int max_paths,
-    unsigned port_rotation, std::span<const int> dist_to_d);
-
-/// Count of minimal paths from s to d, saturating at `cap` (the DFS stops
-/// once `cap` paths are found).
-[[nodiscard]] int count_minimal_paths(const Topology& topo, SwitchId s,
-                                      SwitchId d, int cap);
-
 /// Flat per-switch adjacency snapshot: entries [off[u], off[u+1]) list the
 /// (peer switch, cable, output port) triples of switch u's fabric ports in
-/// port order — the same iteration order as topo.switch_ports_of(u), so a
-/// DFS over the cache enumerates paths in exactly the same sequence as
-/// enumerate_minimal_paths.  Built once per table build; replaces the
-/// per-visit switch_ports_of() vector allocation that dominated the PR 8
-/// large-scale build profile.
+/// port order — the same iteration order as topo.switch_ports_of(u).
+/// Built once per table build; replaces the per-visit switch_ports_of()
+/// vector allocation that dominated the large-scale build profile.
 struct SwitchAdjacency {
   struct Edge {
     SwitchId sw;
@@ -65,11 +39,18 @@ struct SwitchAdjacency {
     return {edges.data() + b, off[static_cast<std::size_t>(u) + 1] - b};
   }
 
+  /// BFS hop distances from `src` into `dist` (-1 = unreachable), the same
+  /// values as Topology::switch_distances_from; `queue` is reusable
+  /// scratch.  The graph is undirected, so these are also the distances
+  /// *to* `src`.
+  void distances_from(SwitchId src, std::vector<int>& dist,
+                      std::vector<SwitchId>& queue) const;
+
   std::vector<std::uint32_t> off;  // num_switches + 1
   std::vector<Edge> edges;
 };
 
-/// Reusable DFS state for for_each_minimal_path; sized on first use,
+/// Reusable DFS state for for_each_minimal_path_dag; sized on first use,
 /// alloc-free afterwards.
 struct MinimalPathScratch {
   std::vector<SwitchId> sw;
@@ -95,9 +76,7 @@ struct MinimalPathScratch {
 /// dist_to_d[u] - 1), in port order, each remembering its index in the
 /// full port list.  Built once per destination and shared by every
 /// source's DFS, this removes all distance lookups from the enumeration
-/// inner loop — the dominant cost of large-table builds, where the
-/// distance matrix is far bigger than cache but one destination's pruned
-/// DAG is not.
+/// inner loop — the dominant cost of large-table builds.
 struct PrunedDag {
   struct Edge {
     SwitchId sw;
@@ -139,68 +118,19 @@ struct PrunedDag {
   std::span<const int> dist;            // the row the DAG was built from
 };
 
-/// Allocation-free variant of enumerate_minimal_paths: emits each minimal
-/// path as `emit(sw, cable, port, hops)` — `sw` has hops+1 entries,
-/// `cable`/`port` have `hops` (the output port of sw[i] crossing cable[i]).
-/// Paths and order are identical to enumerate_minimal_paths; returns the
-/// number emitted.  The spans point into `scratch` and are only valid for
-/// the duration of the callback.
-template <typename Emit>
-int for_each_minimal_path(const SwitchAdjacency& adj, SwitchId s, SwitchId d,
-                          int max_paths, unsigned rotation,
-                          std::span<const int> dist_to_d,
-                          MinimalPathScratch& sc, Emit&& emit) {
-  if (max_paths <= 0) return 0;
-  const auto uz = [](std::int64_t v) { return static_cast<std::size_t>(v); };
-  if (s == d) {
-    sc.ensure(0);
-    sc.sw[0] = s;
-    emit(sc.sw.data(), sc.cable.data(), sc.port.data(), 0);
-    return 1;
-  }
-  if (dist_to_d[uz(s)] < 0) return 0;
-  sc.ensure(dist_to_d[uz(s)]);
-  int found = 0;
-  int depth = 0;
-  sc.sw[0] = s;
-  sc.pi[0] = 0;
-  while (depth >= 0) {
-    const SwitchId u = sc.sw[uz(depth)];
-    if (u == d) {
-      emit(sc.sw.data(), sc.cable.data(), sc.port.data(), depth);
-      if (++found >= max_paths) break;
-      --depth;
-      continue;
-    }
-    const std::span<const SwitchAdjacency::Edge> edges = adj.of(u);
-    const std::size_t deg = edges.size();
-    const int want = dist_to_d[uz(u)] - 1;
-    bool advanced = false;
-    while (sc.pi[uz(depth)] < deg) {
-      const std::size_t k = sc.pi[uz(depth)]++;
-      const SwitchAdjacency::Edge& e = edges[(k + rotation) % deg];
-      if (dist_to_d[uz(e.sw)] != want) continue;
-      sc.cable[uz(depth)] = e.cable;
-      sc.port[uz(depth)] = e.port;
-      sc.sw[uz(depth) + 1] = e.sw;
-      ++depth;
-      sc.pi[uz(depth)] = 0;
-      advanced = true;
-      break;
-    }
-    if (!advanced) --depth;
-  }
-  return found;
-}
-
-/// Pruned-DAG twin of for_each_minimal_path: identical paths in identical
-/// order, but all feasibility decisions were precomputed by
-/// PrunedDag::build, so the DFS inner loop touches only edges that lie on
-/// some minimal path.  Order equivalence: the plain DFS scans the full
-/// port list starting at offset `rotation % deg` and skips infeasible
-/// edges — which visits the feasible sub-list cyclically starting at its
-/// first entry whose full-list index is >= the offset.  That cyclic scan
-/// is what this DFS performs directly.
+/// Up to `max_paths` distinct minimal paths from s to d in DFS order over
+/// `dag` (built for destination d), each emitted as
+/// `emit(sw, cable, port, hops)` — `sw` has hops+1 entries, `cable`/`port`
+/// have `hops` (the output port of sw[i] crossing cable[i]); s == d emits
+/// the trivial path.  Returns the number emitted.  The spans point into
+/// `sc` and are only valid for the duration of the callback.
+///
+/// The order is that of a DFS scanning each switch's full port list from
+/// offset `rotation % deg` and skipping edges that do not step toward d —
+/// which visits the feasible sub-list cyclically starting at its first
+/// entry whose full-list index is >= the offset.  That cyclic scan is what
+/// this DFS performs directly, so the inner loop touches only edges that
+/// lie on some minimal path.
 template <typename Emit>
 int for_each_minimal_path_dag(const PrunedDag& dag, SwitchId s, SwitchId d,
                               int max_paths, unsigned rotation,

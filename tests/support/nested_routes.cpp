@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "core/itb_split.hpp"
-#include "route/minimal_paths.hpp"
 #include "route/topo_minimal.hpp"
+#include "support/minimal_paths_ref.hpp"
 
 namespace itb {
 

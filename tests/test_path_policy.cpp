@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/path_policy.hpp"
+#include "sim/rng.hpp"
 
 namespace itb {
 namespace {
@@ -107,6 +108,158 @@ TEST(PathPolicy, AdaptiveFeedbackIgnoredByOtherPolicies) {
   s.feedback(0, 1, ns(std::int64_t{100}));  // must not crash or affect state
   const int first = s.pick(0, 3);
   EXPECT_EQ(s.pick(0, 3), (first + 1) % 3);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy selector state vs an eager reference.  The reference draws every
+// round-robin offset at reset and keeps a dense destinations x alternatives
+// EWMA table — the straightforward model the selector's on-demand tables
+// must reproduce pick for pick.
+
+class EagerSelector {
+ public:
+  void reset(PathPolicy policy, int num_switches, std::uint64_t seed) {
+    policy_ = policy;
+    rng_ = Rng(seed);
+    n_ = static_cast<std::size_t>(num_switches);
+    rr_next_.assign(policy == PathPolicy::kRoundRobin ? n_ : 0, 0);
+    for (auto& v : rr_next_) v = static_cast<std::uint32_t>(rng_.next_u64());
+    ewma_.clear();
+    stride_ = 0;
+  }
+
+  int pick(SwitchId dst, int alts) {
+    if (alts == 1) return 0;
+    switch (policy_) {
+      case PathPolicy::kSingle:
+        return 0;
+      case PathPolicy::kRoundRobin:
+        return static_cast<int>(rr_next_[static_cast<std::size_t>(dst)]++ %
+                                static_cast<std::uint32_t>(alts));
+      case PathPolicy::kRandom:
+        return static_cast<int>(
+            rng_.next_below(static_cast<std::uint64_t>(alts)));
+      case PathPolicy::kAdaptive: {
+        widen(alts);
+        const double* row =
+            ewma_.data() +
+            static_cast<std::size_t>(dst) * static_cast<std::size_t>(stride_);
+        if (rng_.next_bool(0.1)) {
+          return static_cast<int>(
+              rng_.next_below(static_cast<std::uint64_t>(alts)));
+        }
+        int best = 0;
+        for (int i = 0; i < alts; ++i) {
+          if (row[i] < 0) return i;
+          if (row[i] < row[best]) best = i;
+        }
+        return best;
+      }
+    }
+    return 0;
+  }
+
+  void feedback(SwitchId dst, int alt, TimePs latency) {
+    if (policy_ != PathPolicy::kAdaptive) return;
+    widen(alt + 1);
+    double& s = ewma_[static_cast<std::size_t>(dst) *
+                          static_cast<std::size_t>(stride_) +
+                      static_cast<std::size_t>(alt)];
+    const auto l = static_cast<double>(latency);
+    s = (s < 0) ? l : (1.0 - 0.1) * s + 0.1 * l;
+  }
+
+ private:
+  void widen(int alts) {
+    if (alts <= stride_) return;
+    std::vector<double> wide(n_ * static_cast<std::size_t>(alts), -1.0);
+    for (std::size_t d = 0; d < n_; ++d) {
+      for (int a = 0; a < stride_; ++a) {
+        wide[d * static_cast<std::size_t>(alts) + static_cast<std::size_t>(a)] =
+            ewma_[d * static_cast<std::size_t>(stride_) +
+                  static_cast<std::size_t>(a)];
+      }
+    }
+    ewma_ = std::move(wide);
+    stride_ = alts;
+  }
+
+  PathPolicy policy_ = PathPolicy::kSingle;
+  Rng rng_;
+  std::size_t n_ = 0;
+  std::vector<std::uint32_t> rr_next_;
+  std::vector<double> ewma_;
+  int stride_ = 0;
+};
+
+/// Drives both selectors through the same random stream of picks (random
+/// destinations, each with its own alternative count) and feedback, and
+/// requires every pick to agree.
+void expect_same_picks(PathSelector& lazy, EagerSelector& eager,
+                       int num_switches, std::uint64_t drive_seed,
+                       int steps) {
+  Rng drive(drive_seed);
+  std::vector<int> alts_of(static_cast<std::size_t>(num_switches));
+  for (int& a : alts_of) a = static_cast<int>(drive.next_in(1, 10));
+  for (int i = 0; i < steps; ++i) {
+    const auto dst = static_cast<SwitchId>(
+        drive.next_below(static_cast<std::uint64_t>(num_switches)));
+    const int alts = alts_of[static_cast<std::size_t>(dst)];
+    const int got = lazy.pick(dst, alts);
+    ASSERT_EQ(got, eager.pick(dst, alts)) << "step " << i << " dst " << dst;
+    if (drive.next_bool(0.7)) {
+      const TimePs lat = ns(drive.next_in(500, 5000));
+      lazy.feedback(dst, got, lat);
+      eager.feedback(dst, got, lat);
+    }
+    if (drive.next_bool(0.05)) {
+      // Feedback for a destination this source never picked, at an
+      // alternative past any stride seen so far.
+      const auto other = static_cast<SwitchId>(
+          drive.next_below(static_cast<std::uint64_t>(num_switches)));
+      const int alt = static_cast<int>(drive.next_below(12));
+      lazy.feedback(other, alt, ns(std::int64_t{700}));
+      eager.feedback(other, alt, ns(std::int64_t{700}));
+    }
+  }
+}
+
+TEST(PathPolicy, LazyTablesMatchEagerReference) {
+  for (const PathPolicy p : {PathPolicy::kRoundRobin, PathPolicy::kAdaptive,
+                             PathPolicy::kRandom, PathPolicy::kSingle}) {
+    PathSelector lazy;
+    EagerSelector eager;
+    // One selector reused across resets: new seeds, and a destination
+    // count that grows past and then shrinks below the first one.
+    const int sizes[] = {40, 300, 7, 300};
+    for (int round = 0; round < 4; ++round) {
+      const int n = sizes[round];
+      const std::uint64_t seed = 1000003u * static_cast<unsigned>(round) + 17;
+      lazy.reset(p, n, seed);
+      eager.reset(p, n, seed);
+      expect_same_picks(lazy, eager, n, seed ^ 0x5eed, 4000);
+      if (HasFatalFailure()) {
+        ADD_FAILURE() << to_string(p) << " round " << round;
+        return;
+      }
+    }
+  }
+}
+
+TEST(PathPolicy, RoundRobinOffsetIsTheDestinationsDrawInOrder) {
+  // Offset d is the (d+1)-th draw of the selector's stream, however the
+  // destinations are first visited.
+  const std::uint64_t seed = 99;
+  Rng stream(seed);
+  std::vector<std::uint32_t> draws;
+  for (int d = 0; d < 64; ++d) {
+    draws.push_back(static_cast<std::uint32_t>(stream.next_u64()));
+  }
+  PathSelector s(PathPolicy::kRoundRobin, 64, seed);
+  for (const int d : {63, 0, 17, 40, 5}) {
+    EXPECT_EQ(s.pick(static_cast<SwitchId>(d), 7),
+              static_cast<int>(draws[static_cast<std::size_t>(d)] % 7u));
+  }
 }
 
 }  // namespace

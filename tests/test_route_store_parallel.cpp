@@ -2,12 +2,16 @@
 // build: staging rows fan out across the thread pool, but compression
 // consumes them strictly in (s,d) order, so every array of the store — the
 // dedup'd pools included — is a pure function of the route values.  These
-// tests build the same tables at jobs 1, 2 and 8 and require the seven raw
-// arrays to match byte for byte.
+// tests build the same tables at jobs 1, 2, 3 and 8 and require the seven
+// raw arrays to match byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/route_builder.hpp"
 #include "harness/testbed.hpp"
@@ -31,10 +35,8 @@ template <typename T>
   return ::testing::AssertionSuccess();
 }
 
-void expect_stores_byte_identical(const RouteSet& a, const RouteSet& b,
+void expect_stores_byte_identical(const RouteStore& x, const RouteStore& y,
                                   const std::string& label) {
-  const RouteStore& x = a.store();
-  const RouteStore& y = b.store();
   EXPECT_TRUE(spans_byte_identical(x.port_pool(), y.port_pool(),
                                    "port_pool")) << label;
   EXPECT_TRUE(spans_byte_identical(x.walks(), y.walks(), "walks")) << label;
@@ -52,10 +54,51 @@ void expect_stores_byte_identical(const RouteSet& a, const RouteSet& b,
   EXPECT_EQ(x.segments_shared(), y.segments_shared()) << label;
 }
 
+void expect_stores_byte_identical(const RouteSet& a, const RouteSet& b,
+                                  const std::string& label) {
+  expect_stores_byte_identical(a.store(), b.store(), label);
+}
+
+/// Re-stages a built ITB store the way build_itb_routes streams it:
+/// destination-major, `rows` destinations per block, every pair's
+/// alternatives interned walk by walk.
+std::vector<FactorizedBlock> restage_destination_major(const RouteStore& st,
+                                                       int rows) {
+  const auto n = static_cast<std::size_t>(st.num_switches());
+  std::vector<FactorizedBlock> blocks;
+  FactorizedBlockStager stager;
+  std::vector<std::uint32_t> walk_ids;
+  std::vector<std::uint32_t> route_ids;
+  for (std::size_t d0 = 0; d0 < n; d0 += static_cast<std::size_t>(rows)) {
+    blocks.emplace_back();
+    stager.begin_block(&blocks.back());
+    const std::size_t d1 = std::min(n, d0 + static_cast<std::size_t>(rows));
+    for (std::size_t d = d0; d < d1; ++d) {
+      for (std::size_t s = 0; s < n; ++s) {
+        const AltListRec a = st.altlists()[st.pair_altlist()[s * n + d]];
+        route_ids.clear();
+        for (std::uint32_t slot = a.first; slot < a.first + a.count; ++slot) {
+          const RouteRec rr = st.core_routes()[st.alt_routes()[slot]];
+          walk_ids.clear();
+          for (std::uint32_t li = 0; li < rr.leg_count; ++li) {
+            const WalkRec w = st.walks()[st.route_walks()[rr.first_walk + li]];
+            walk_ids.push_back(stager.stage_walk(
+                st.port_pool().data() + w.port_off, w.port_count));
+          }
+          route_ids.push_back(
+              stager.stage_route(walk_ids.data(), walk_ids.size(), rr.alt_tag));
+        }
+        stager.commit_pair(route_ids.data(), route_ids.size());
+      }
+    }
+  }
+  return blocks;
+}
+
 TEST(RouteStoreParallelBuild, ItbTableIdenticalAcrossJobCounts) {
   const Testbed tb(make_torus_2d(8, 8, 2));
   const RouteSet serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
-  for (const int jobs : {2, 8}) {
+  for (const int jobs : {2, 3, 8}) {
     const RouteSet par = build_itb_routes(tb.topo(), tb.updown(), {}, jobs);
     expect_stores_byte_identical(serial, par,
                                  "itb jobs=" + std::to_string(jobs));
@@ -96,9 +139,11 @@ TEST(RouteStoreParallelBuild, DenseLowDiameterIdenticalAcrossJobCounts) {
     Topology topo;
   };
   std::vector<Case> cases;
-  cases.push_back({"hyperx", make_hyperx({4, 4}, 2)});
+  // Each has at least 2 * kMinRowsPerBuildWorker switches, so jobs > 1
+  // really fans out.
+  cases.push_back({"hyperx", make_hyperx({8, 4}, 2)});
   cases.push_back({"dragonfly", make_dragonfly(4, 2, 2)});
-  cases.push_back({"fullmesh", make_full_mesh(16, 2)});
+  cases.push_back({"fullmesh", make_full_mesh(32, 2)});
   for (const Case& c : cases) {
     const Testbed tb(Topology(c.topo), kAutoRoot);
     const RouteSet itb_serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
@@ -123,6 +168,74 @@ TEST(RouteStoreParallelBuild, WarmedTestbedServesTheSameTable) {
   expect_stores_byte_identical(cold.routes(RoutingScheme::kItbSp),
                                warm.routes(RoutingScheme::kItbSp),
                                "warm vs cold");
+}
+
+TEST(RouteStoreParallelBuild, StreamedMergeIdenticalUnderOutOfOrderBlocks) {
+  // Workers finish blocks in any order; the merge must still consume them
+  // in row order.  Hand the blocks in from 1, 2, 3 and 8 threads, each
+  // thread walking its share backwards, so block 0 tends to arrive last.
+  for (const bool dragonfly : {false, true}) {
+    const Testbed tb(dragonfly ? make_dragonfly(4, 2, 2)
+                               : make_torus_2d(8, 8, 2),
+                     dragonfly ? kAutoRoot : 0);
+    const RouteSet serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
+    const std::vector<FactorizedBlock> blocks =
+        restage_destination_major(serial.store(), 3);
+    for (const int threads : {1, 2, 3, 8}) {
+      FactorizedStoreBuilder b(tb.topo(), 0);
+      b.set_pair_transposed(true);
+      StreamedBlockMerge merge(b);
+      std::vector<std::thread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          for (std::size_t i = blocks.size(); i-- > 0;) {
+            if (static_cast<int>(i % static_cast<std::size_t>(threads)) != t) {
+              continue;
+            }
+            merge.deposit(i, blocks[i]);
+          }
+        });
+      }
+      for (std::thread& th : pool) th.join();
+      expect_stores_byte_identical(
+          serial.store(), b.finish(),
+          std::string(dragonfly ? "dragonfly" : "torus") +
+              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(RouteStoreParallelBuild, ShortDestinationMajorStreamIsRejected) {
+  const Testbed tb(make_torus_2d(4, 4, 2));
+  const RouteSet full = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
+  const std::vector<FactorizedBlock> rows =
+      restage_destination_major(full.store(), 1);
+  FactorizedStoreBuilder b(tb.topo(), 0);
+  b.set_pair_transposed(true);
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) b.append_block(rows[i]);
+  try {
+    (void)b.finish();
+    FAIL() << "a stream missing its last destination row was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("pair stream incomplete"),
+              std::string::npos)
+        << e.what();
+  }
+  // Completing the stream, then overrunning it, is rejected too.
+  b.append_block(rows.back());
+  EXPECT_THROW(b.append_block(rows.back()), std::logic_error);
+}
+
+TEST(RouteStoreParallelBuild, WorkerCountIsClamped) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int cap = hw > 0 ? hw : 1 << 30;
+  EXPECT_EQ(route_build_workers(kMinRowsPerBuildWorker - 1, 8), 1);
+  EXPECT_EQ(route_build_workers(2064, 1), 1);
+  EXPECT_EQ(route_build_workers(2064, 2), std::min(2, cap));
+  EXPECT_EQ(route_build_workers(4 * kMinRowsPerBuildWorker, 64),
+            std::min(4, cap));
+  EXPECT_EQ(route_build_workers(100000, 1000), std::min(1000, cap));
+  EXPECT_EQ(route_build_workers(0, 0), 1);
 }
 
 }  // namespace

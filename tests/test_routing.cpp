@@ -8,10 +8,10 @@
 #include "core/itb_split.hpp"
 #include "core/route_builder.hpp"
 #include "core/route_stats.hpp"
-#include "route/minimal_paths.hpp"
 #include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 #include "sim/rng.hpp"
+#include "support/minimal_paths_ref.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {

@@ -5,9 +5,9 @@
 #include <deque>
 #include <set>
 
-#include "route/minimal_paths.hpp"
 #include "route/updown.hpp"
 #include "sim/rng.hpp"
+#include "support/minimal_paths_ref.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {

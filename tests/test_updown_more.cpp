@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "route/minimal_paths.hpp"
 #include "route/updown.hpp"
+#include "support/minimal_paths_ref.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
