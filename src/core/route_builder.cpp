@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "route/minimal_paths.hpp"
 #include "route/topo_minimal.hpp"
@@ -148,8 +147,8 @@ void stage_itb_dest_row(const Topology& topo, const UpDown& ud,
   }
 }
 
-/// Stage blocks of rows (in parallel when more than one worker is worth
-/// it) and merge them in row order.  A "row" is one source switch for the
+/// Stage blocks of rows (in parallel across route_build_workers(rows,
+/// jobs) workers) and merge them in row order.  A "row" is one source switch for the
 /// UP/DOWN and MIN builders and one *destination* for the ITB builder
 /// (pair_transposed = true; the store builder files each pair under its
 /// (s, d) slot).  Global intern ids are assigned in first-appearance order
@@ -178,25 +177,26 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
     }
   } else {
     // Chunked fan-out: a few blocks per worker keeps per-task overhead
-    // bounded while the ordered merge stays O(distinct shapes).  Blocks
-    // are merged as soon as they and every block before them are staged,
-    // so the serial merge overlaps staging and only about `workers`
-    // blocks are alive at once.
+    // bounded while the ordered serial merge stays O(distinct shapes).
     // NOTE: callers on pool worker threads must pass jobs == 1
     // (pooled_for must not nest; see sim/pool.hpp).
     const int chunk = std::max(1, (n + workers * 4 - 1) / (workers * 4));
     const int num_blocks = (n + chunk - 1) / chunk;
-    StreamedBlockMerge merge(b);
-    parallel_for_n(num_blocks, workers, [&](int bi) {
-      FactorizedBlock block;
-      FactorizedBlockStager stager;
-      StageScratch sc;
-      stager.begin_block(&block);
-      const int r0 = bi * chunk;
-      const int r1 = std::min(n, r0 + chunk);
-      for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
-      merge.deposit(static_cast<std::size_t>(bi), std::move(block));
-    });
+    std::vector<FactorizedBlock> blocks = parallel_map<FactorizedBlock>(
+        num_blocks, workers, [&](int bi) {
+          FactorizedBlock block;
+          FactorizedBlockStager stager;
+          StageScratch sc;
+          stager.begin_block(&block);
+          const int r0 = bi * chunk;
+          const int r1 = std::min(n, r0 + chunk);
+          for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
+          return block;
+        });
+    for (FactorizedBlock& blk : blocks) {
+      b.append_block(blk);
+      blk = FactorizedBlock{};  // free staging as soon as it is merged
+    }
   }
   RouteSet rs(n, algo, b.finish());
   rs.set_build_ms(std::chrono::duration<double, std::milli>(
@@ -216,10 +216,7 @@ std::vector<std::uint32_t> hosts_per_switch(const Topology& topo) {
 }  // namespace
 
 int route_build_workers(int rows, int jobs) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  int workers = std::min(jobs, rows / kMinRowsPerBuildWorker);
-  if (hw > 0) workers = std::min(workers, hw);
-  return std::max(1, workers);
+  return std::max(1, std::min({jobs, rows, usable_cpus()}));
 }
 
 RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,

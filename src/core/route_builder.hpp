@@ -3,10 +3,10 @@
 // Every builder stages per-row switch-pair routes straight into the
 // factorized store (core/route_store.hpp) without materializing a Route.
 // Row staging is independent per row, so with `jobs` > 1 it fans out
-// across the shared thread pool (sim/pool.hpp); the merge consumes blocks
-// of rows strictly in order as they finish, making the store bit-identical
-// to the serial build.  The test suite keeps independent reference
-// builders in tests/support/ and compares the tables pair for pair.
+// across the shared thread pool (sim/pool.hpp); the merge then consumes
+// rows strictly in order, making the store bit-identical to the serial
+// build.  The test suite keeps independent reference builders in
+// tests/support/ and compares the tables pair for pair.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,10 @@ struct ItbBuildOptions {
   bool prefer_fewest_itbs = false;
 };
 
-/// Fewest rows (switches) a route-build worker is handed: below this a
-/// fan-out costs more in pool hand-off than its share of the staging saves.
-inline constexpr int kMinRowsPerBuildWorker = 16;
-
 /// Workers a table build over `rows` rows fans out to when asked for
-/// `jobs`: at most `jobs`, at most std::thread::hardware_concurrency(), and
-/// at least kMinRowsPerBuildWorker rows each — never fewer than one.
+/// `jobs`: at most `jobs`, `rows` and usable_cpus() (sim/pool.hpp), so a
+/// build never over-subscribes the CPUs it may run on — never fewer than
+/// one.
 [[nodiscard]] int route_build_workers(int rows, int jobs);
 
 /// UP/DOWN baseline: one simple_routes-selected legal path per pair,

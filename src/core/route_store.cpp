@@ -344,22 +344,6 @@ void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
   leg_instances_ += block.leg_instances;
 }
 
-void StreamedBlockMerge::deposit(std::size_t index, FactorizedBlock block) {
-  std::unique_lock<std::mutex> lock(mu_);
-  waiting_.emplace(index, std::move(block));
-  if (merging_) return;  // the active merger picks this block up
-  merging_ = true;
-  while (!waiting_.empty() && waiting_.begin()->first == next_) {
-    const FactorizedBlock ready = std::move(waiting_.begin()->second);
-    waiting_.erase(waiting_.begin());
-    lock.unlock();
-    builder_->append_block(ready);  // freed as soon as it is merged
-    lock.lock();
-    ++next_;
-  }
-  merging_ = false;
-}
-
 RouteStore FactorizedStoreBuilder::finish() {
   if (next_row_ != uz(store_.num_switches_)) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");

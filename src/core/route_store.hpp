@@ -38,8 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <map>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -438,28 +436,6 @@ class FactorizedStoreBuilder {
   std::size_t next_row_ = 0;
   std::size_t next_col_ = 0;
   bool pair_transposed_ = false;
-};
-
-/// Feeds staged blocks to a FactorizedStoreBuilder in row order while
-/// later blocks are still being staged.  deposit() may be called from any
-/// thread with blocks in any order; the caller whose block completes the
-/// in-order prefix merges it and every consecutive block already waiting.
-/// Only out-of-order blocks are held, and the serial merge overlaps the
-/// staging of the blocks behind it.  Block indices must be 0, 1, 2, ...
-/// with no gaps.
-class StreamedBlockMerge {
- public:
-  explicit StreamedBlockMerge(FactorizedStoreBuilder& builder)
-      : builder_(&builder) {}
-
-  void deposit(std::size_t index, FactorizedBlock block);
-
- private:
-  FactorizedStoreBuilder* builder_;
-  std::mutex mu_;
-  std::map<std::size_t, FactorizedBlock> waiting_;
-  std::size_t next_ = 0;
-  bool merging_ = false;
 };
 
 /// Materialize an owning Route from a view (adapter for tests, IO and the

@@ -1,5 +1,7 @@
 #include "sim/pool.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -13,6 +15,17 @@ int default_jobs() {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

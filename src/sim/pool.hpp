@@ -28,6 +28,11 @@ namespace itb {
 /// (never less than 1).
 [[nodiscard]] int default_jobs();
 
+/// CPUs this process may run on: the size of its CPU affinity mask, which
+/// CPU pinning and container cpusets narrow, else
+/// std::thread::hardware_concurrency() (never less than 1).
+[[nodiscard]] int usable_cpus();
+
 /// A small fixed-size worker pool.  Jobs are run in submission order by
 /// whichever worker frees up first; wait_idle() blocks until the queue is
 /// drained and every worker is idle.

@@ -3,8 +3,13 @@
 // consumes them strictly in (s,d) order, so every array of the store — the
 // dedup'd pools included — is a pure function of the route values.  These
 // tests build the same tables at jobs 1, 2, 3 and 8 and require the seven
-// raw arrays to match byte for byte.
+// raw arrays to match byte for byte.  A build fans out to at most
+// usable_cpus() workers, so on a host that lets this process use a single
+// CPU every jobs value builds serially; the jobs sweeps skip there instead
+// of passing without a parallel build, and their labels name the worker
+// count each jobs value really ran.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstring>
@@ -15,6 +20,7 @@
 
 #include "core/route_builder.hpp"
 #include "harness/testbed.hpp"
+#include "sim/pool.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -59,73 +65,83 @@ void expect_stores_byte_identical(const RouteSet& a, const RouteSet& b,
   expect_stores_byte_identical(a.store(), b.store(), label);
 }
 
+constexpr const char* kSerialOnly =
+    "one usable CPU: every jobs value builds serially";
+
+/// "<what> jobs=J workers=W" for a build over `rows` rows.
+std::string jobs_label(const std::string& what, int rows, int jobs) {
+  return what + " jobs=" + std::to_string(jobs) +
+         " workers=" + std::to_string(route_build_workers(rows, jobs));
+}
+
 /// Re-stages a built ITB store the way build_itb_routes streams it:
-/// destination-major, `rows` destinations per block, every pair's
+/// destination-major, one block per destination, every pair's
 /// alternatives interned walk by walk.
-std::vector<FactorizedBlock> restage_destination_major(const RouteStore& st,
-                                                       int rows) {
+std::vector<FactorizedBlock> restage_destination_major(const RouteStore& st) {
   const auto n = static_cast<std::size_t>(st.num_switches());
   std::vector<FactorizedBlock> blocks;
   FactorizedBlockStager stager;
   std::vector<std::uint32_t> walk_ids;
   std::vector<std::uint32_t> route_ids;
-  for (std::size_t d0 = 0; d0 < n; d0 += static_cast<std::size_t>(rows)) {
+  for (std::size_t d = 0; d < n; ++d) {
     blocks.emplace_back();
     stager.begin_block(&blocks.back());
-    const std::size_t d1 = std::min(n, d0 + static_cast<std::size_t>(rows));
-    for (std::size_t d = d0; d < d1; ++d) {
-      for (std::size_t s = 0; s < n; ++s) {
-        const AltListRec a = st.altlists()[st.pair_altlist()[s * n + d]];
-        route_ids.clear();
-        for (std::uint32_t slot = a.first; slot < a.first + a.count; ++slot) {
-          const RouteRec rr = st.core_routes()[st.alt_routes()[slot]];
-          walk_ids.clear();
-          for (std::uint32_t li = 0; li < rr.leg_count; ++li) {
-            const WalkRec w = st.walks()[st.route_walks()[rr.first_walk + li]];
-            walk_ids.push_back(stager.stage_walk(
-                st.port_pool().data() + w.port_off, w.port_count));
-          }
-          route_ids.push_back(
-              stager.stage_route(walk_ids.data(), walk_ids.size(), rr.alt_tag));
+    for (std::size_t s = 0; s < n; ++s) {
+      const AltListRec a = st.altlists()[st.pair_altlist()[s * n + d]];
+      route_ids.clear();
+      for (std::uint32_t slot = a.first; slot < a.first + a.count; ++slot) {
+        const RouteRec rr = st.core_routes()[st.alt_routes()[slot]];
+        walk_ids.clear();
+        for (std::uint32_t li = 0; li < rr.leg_count; ++li) {
+          const WalkRec w = st.walks()[st.route_walks()[rr.first_walk + li]];
+          walk_ids.push_back(stager.stage_walk(
+              st.port_pool().data() + w.port_off, w.port_count));
         }
-        stager.commit_pair(route_ids.data(), route_ids.size());
+        route_ids.push_back(
+            stager.stage_route(walk_ids.data(), walk_ids.size(), rr.alt_tag));
       }
+      stager.commit_pair(route_ids.data(), route_ids.size());
     }
   }
   return blocks;
 }
 
 TEST(RouteStoreParallelBuild, ItbTableIdenticalAcrossJobCounts) {
+  if (usable_cpus() < 2) GTEST_SKIP() << kSerialOnly;
   const Testbed tb(make_torus_2d(8, 8, 2));
   const RouteSet serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
   for (const int jobs : {2, 3, 8}) {
     const RouteSet par = build_itb_routes(tb.topo(), tb.updown(), {}, jobs);
-    expect_stores_byte_identical(serial, par,
-                                 "itb jobs=" + std::to_string(jobs));
+    expect_stores_byte_identical(
+        serial, par, jobs_label("itb", tb.topo().num_switches(), jobs));
   }
 }
 
 TEST(RouteStoreParallelBuild, UpDownTableIdenticalAcrossJobCounts) {
+  if (usable_cpus() < 2) GTEST_SKIP() << kSerialOnly;
   const Testbed tb(make_torus_2d(8, 8, 2));
   const SimpleRoutes sr(tb.topo(), tb.updown());
   const RouteSet serial = build_updown_routes(tb.topo(), sr, 1);
   for (const int jobs : {2, 8}) {
     const RouteSet par = build_updown_routes(tb.topo(), sr, jobs);
-    expect_stores_byte_identical(serial, par,
-                                 "updown jobs=" + std::to_string(jobs));
+    expect_stores_byte_identical(
+        serial, par, jobs_label("updown", tb.topo().num_switches(), jobs));
   }
 }
 
 TEST(RouteStoreParallelBuild, IrregularTopologyIdenticalAcrossJobCounts) {
   // CPLANT exercises the fallback paths (pairs whose minimal candidates
   // are all discarded); the express torus exercises long express links.
+  if (usable_cpus() < 2) GTEST_SKIP() << kSerialOnly;
   for (const int variant : {0, 1}) {
     const Testbed tb(variant == 0 ? make_cplant()
                                   : make_torus_2d_express(8, 8, 2));
     const RouteSet serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
     const RouteSet par = build_itb_routes(tb.topo(), tb.updown(), {}, 8);
     expect_stores_byte_identical(
-        serial, par, variant == 0 ? "cplant jobs=8" : "express jobs=8");
+        serial, par,
+        jobs_label(variant == 0 ? "cplant" : "express",
+                   tb.topo().num_switches(), 8));
   }
 }
 
@@ -134,27 +150,27 @@ TEST(RouteStoreParallelBuild, DenseLowDiameterIdenticalAcrossJobCounts) {
   // sparse tori: many equal-length candidates per pair (alternative
   // selection order must not depend on thread schedule) and, for MIN, the
   // structured oracle shared across all workers.
+  if (usable_cpus() < 2) GTEST_SKIP() << kSerialOnly;
   struct Case {
     std::string name;
     Topology topo;
   };
   std::vector<Case> cases;
-  // Each has at least 2 * kMinRowsPerBuildWorker switches, so jobs > 1
-  // really fans out.
-  cases.push_back({"hyperx", make_hyperx({8, 4}, 2)});
+  cases.push_back({"hyperx", make_hyperx({4, 4}, 2)});
   cases.push_back({"dragonfly", make_dragonfly(4, 2, 2)});
-  cases.push_back({"fullmesh", make_full_mesh(32, 2)});
+  cases.push_back({"fullmesh", make_full_mesh(16, 2)});
   for (const Case& c : cases) {
     const Testbed tb(Topology(c.topo), kAutoRoot);
     const RouteSet itb_serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
     const RouteSet min_serial = build_minimal_routes(tb.topo(), 1);
+    const int rows = tb.topo().num_switches();
     for (const int jobs : {2, 8}) {
       expect_stores_byte_identical(
           itb_serial, build_itb_routes(tb.topo(), tb.updown(), {}, jobs),
-          c.name + " itb jobs=" + std::to_string(jobs));
+          jobs_label(c.name + " itb", rows, jobs));
       expect_stores_byte_identical(
           min_serial, build_minimal_routes(tb.topo(), jobs),
-          c.name + " min jobs=" + std::to_string(jobs));
+          jobs_label(c.name + " min", rows, jobs));
     }
   }
 }
@@ -162,6 +178,7 @@ TEST(RouteStoreParallelBuild, DenseLowDiameterIdenticalAcrossJobCounts) {
 TEST(RouteStoreParallelBuild, WarmedTestbedServesTheSameTable) {
   // Testbed::warm(scheme, jobs) builds with the pool from the main thread;
   // the table it caches must be the one a cold serial build produces.
+  if (usable_cpus() < 2) GTEST_SKIP() << kSerialOnly;
   const Testbed cold(make_torus_2d(8, 8, 2));
   const Testbed warm(make_torus_2d(8, 8, 2));
   warm.warm(RoutingScheme::kItbSp, 8);
@@ -170,46 +187,11 @@ TEST(RouteStoreParallelBuild, WarmedTestbedServesTheSameTable) {
                                "warm vs cold");
 }
 
-TEST(RouteStoreParallelBuild, StreamedMergeIdenticalUnderOutOfOrderBlocks) {
-  // Workers finish blocks in any order; the merge must still consume them
-  // in row order.  Hand the blocks in from 1, 2, 3 and 8 threads, each
-  // thread walking its share backwards, so block 0 tends to arrive last.
-  for (const bool dragonfly : {false, true}) {
-    const Testbed tb(dragonfly ? make_dragonfly(4, 2, 2)
-                               : make_torus_2d(8, 8, 2),
-                     dragonfly ? kAutoRoot : 0);
-    const RouteSet serial = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
-    const std::vector<FactorizedBlock> blocks =
-        restage_destination_major(serial.store(), 3);
-    for (const int threads : {1, 2, 3, 8}) {
-      FactorizedStoreBuilder b(tb.topo(), 0);
-      b.set_pair_transposed(true);
-      StreamedBlockMerge merge(b);
-      std::vector<std::thread> pool;
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-          for (std::size_t i = blocks.size(); i-- > 0;) {
-            if (static_cast<int>(i % static_cast<std::size_t>(threads)) != t) {
-              continue;
-            }
-            merge.deposit(i, blocks[i]);
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      expect_stores_byte_identical(
-          serial.store(), b.finish(),
-          std::string(dragonfly ? "dragonfly" : "torus") +
-              " threads=" + std::to_string(threads));
-    }
-  }
-}
-
 TEST(RouteStoreParallelBuild, ShortDestinationMajorStreamIsRejected) {
   const Testbed tb(make_torus_2d(4, 4, 2));
   const RouteSet full = build_itb_routes(tb.topo(), tb.updown(), {}, 1);
   const std::vector<FactorizedBlock> rows =
-      restage_destination_major(full.store(), 1);
+      restage_destination_major(full.store());
   FactorizedStoreBuilder b(tb.topo(), 0);
   b.set_pair_transposed(true);
   for (std::size_t i = 0; i + 1 < rows.size(); ++i) b.append_block(rows[i]);
@@ -227,15 +209,36 @@ TEST(RouteStoreParallelBuild, ShortDestinationMajorStreamIsRejected) {
 }
 
 TEST(RouteStoreParallelBuild, WorkerCountIsClamped) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int cap = hw > 0 ? hw : 1 << 30;
-  EXPECT_EQ(route_build_workers(kMinRowsPerBuildWorker - 1, 8), 1);
+  const int cpus = usable_cpus();
+  ASSERT_GE(cpus, 1);
   EXPECT_EQ(route_build_workers(2064, 1), 1);
-  EXPECT_EQ(route_build_workers(2064, 2), std::min(2, cap));
-  EXPECT_EQ(route_build_workers(4 * kMinRowsPerBuildWorker, 64),
-            std::min(4, cap));
-  EXPECT_EQ(route_build_workers(100000, 1000), std::min(1000, cap));
+  EXPECT_EQ(route_build_workers(2064, 2), std::min(2, cpus));
+  EXPECT_EQ(route_build_workers(3, 64), std::min(3, cpus));
+  EXPECT_EQ(route_build_workers(100000, 1000), std::min(1000, cpus));
   EXPECT_EQ(route_build_workers(0, 0), 1);
+}
+
+TEST(RouteStoreParallelBuild, WorkerCapFollowsTheAffinityMask) {
+  // Pinning narrows the CPUs a build may use below hardware_concurrency();
+  // the cap must follow the mask.  The pin is set on a scratch thread, so
+  // the test process keeps its own mask.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  int pinned_cpus = 0;
+  int pinned_workers = 0;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    if (sched_setaffinity(0, sizeof one, &one) != 0) return;
+    pinned_cpus = usable_cpus();
+    pinned_workers = route_build_workers(64, 8);
+  }).join();
+  EXPECT_EQ(pinned_cpus, 1);
+  EXPECT_EQ(pinned_workers, 1);
 }
 
 }  // namespace
